@@ -30,10 +30,12 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Dict,
     Iterable,
     List,
     Optional,
     Protocol,
+    Tuple,
     Union,
     runtime_checkable,
 )
@@ -47,7 +49,7 @@ from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 from repro.leon3.core import Leon3Core, RtlExecutionResult
 from repro.leon3.fastcore import Leon3FastCore
 from repro.rtl.faults import FaultModel, PermanentFault, TransientFault
-from repro.rtl.sites import SiteUniverse
+from repro.rtl.sites import FaultSite, SiteUniverse
 
 if TYPE_CHECKING:
     from repro.engine.checkpoint import _CheckpointRunnerBase
@@ -127,6 +129,19 @@ class Leon3RtlBackend:
     one campaign-store identity (see
     :func:`repro.store.keys.backend_identity`).  Passing an explicit *core*
     pins the backend to that instance and ignores ``fast``.
+
+    **Open-line collapsing on nets.**  An open line on a net holds the bit it
+    latched when the fault appeared, and every run injects its faults just
+    after a fault-free reset.  So an open line on a net *is* a stuck-at of
+    that bit's post-reset value (0 on almost every net; the reset-time
+    ``%sp`` write leaves some ``rf.waddr``/``rf.wdata`` bits at 1).
+    Single-fault permanent runs on net sites are memoized per
+    :meth:`prepare` under ``(site, equivalent model, max_instructions)``:
+    whichever of an open-line job and its stuck-at twin runs first fills the
+    memo, and the other is served from it without simulating.  These are
+    the runs that fall back to the reference core.  Storage cells are not
+    collapsed: their open line keeps the previous read-port value, a
+    different model.
     """
 
     name = "rtl"
@@ -150,10 +165,16 @@ class Leon3RtlBackend:
         # the flag), so diagnostics can trust backend.fast.
         self.fast = isinstance(self.core, Leon3FastCore)
         self._program: Optional[Program] = None
+        self._reset_latched: Dict[str, int] = {}
+        self._collapsed: Dict[Tuple[FaultSite, FaultModel, int], RunResult] = {}
 
     def prepare(self, program: Program) -> None:
         self._program = program
         self.core.load_program(program)
+        # The netlist is fresh out of a fault-free reset only now: after a
+        # run it holds that run's final values.
+        self._reset_latched = self.core.netlist.latched_values()
+        self._collapsed = {}
 
     @property
     def program(self) -> Optional[Program]:
@@ -191,14 +212,19 @@ class Leon3RtlBackend:
     ) -> RunResult:
         if self._program is None:
             raise RuntimeError("backend not prepared: call prepare(program) first")
+        fault_list = list(faults)
+        key = self._collapse_key(fault_list, max_instructions)
+        if key is not None:
+            twin = self._collapsed.pop(key, None)
+            if twin is not None:
+                return twin
         self.core.clear_faults()
         self.core.reload()
-        fault_list = list(faults)
         if fault_list:
             self.core.inject(fault_list)
         native: RtlExecutionResult = self.core.run(max_instructions=max_instructions)
         self.core.clear_faults()
-        return RunResult(
+        result = RunResult(
             backend=self.name,
             transactions=native.transactions,
             trace=native.trace,
@@ -209,6 +235,25 @@ class Leon3RtlBackend:
             trap_kind=native.trap_kind,
             transaction_cycles=native.transaction_cycles,
         )
+        if key is not None:
+            self._collapsed[key] = result
+        return result
+
+    def _collapse_key(
+        self, faults: List[Union[PermanentFault, TransientFault]], max_instructions: int
+    ) -> Optional[Tuple[FaultSite, FaultModel, int]]:
+        """Memo key of a run whose open-line/stuck-at twin gives the same
+        result (see the class docstring); ``None`` when the run has none."""
+        if len(faults) != 1 or not isinstance(faults[0], PermanentFault):
+            return None
+        site, model = faults[0].site, faults[0].model
+        if site.index is not None or site.net not in self._reset_latched:
+            return None
+        latched_bit = (self._reset_latched[site.net] >> site.bit) & 1
+        equivalent = FaultModel.STUCK_AT_1 if latched_bit else FaultModel.STUCK_AT_0
+        if model is not FaultModel.OPEN_LINE and model is not equivalent:
+            return None
+        return site, equivalent, max_instructions
 
 
 #: Unit path of the ISS backend's architectural register-file sites.

@@ -56,7 +56,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.isa.instructions import INSTRUCTION_SET
 from repro.iss.fastpath import FastEmulator
 from repro.iss.memory import Memory
 from repro.iss.trace import ExecutionTrace
@@ -142,10 +141,7 @@ def trace_from_counts(counts: Dict[str, int]) -> ExecutionTrace:
     exactly the opcodes that executed.
     """
     trace = ExecutionTrace(detailed=False)
-    by_mnemonic = INSTRUCTION_SET.by_mnemonic
-    for mnemonic, count in counts.items():
-        if count > 0:
-            trace.record_bulk(by_mnemonic(mnemonic), count)
+    trace.record_counts(counts)
     return trace
 
 

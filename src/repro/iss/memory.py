@@ -63,7 +63,13 @@ class Memory:
     def read_word(self, address: int) -> int:
         if address % 4:
             raise MemoryError_(f"misaligned word read at {address:#010x}")
-        return int.from_bytes(self.read_bytes(address, 4), "big")
+        address &= ADDRESS_MASK
+        page = self._pages.get(address >> PAGE_SHIFT)
+        if page is None:
+            return 0
+        # An aligned word never straddles a page, so one slice reads it.
+        offset = address & PAGE_MASK
+        return int.from_bytes(page[offset:offset + 4], "big")
 
     def write_word(self, address: int, value: int) -> None:
         if address % 4:

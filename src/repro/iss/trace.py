@@ -16,10 +16,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.isa.decoder import Instruction
-from repro.isa.instructions import FunctionalUnit, InstructionCategory, InstructionDef
+from repro.isa.instructions import (
+    INSTRUCTION_SET,
+    FunctionalUnit,
+    InstructionCategory,
+    InstructionDef,
+)
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,19 @@ class ExecutionTrace:
         if self.detailed:
             raise ValueError("record_bulk cannot produce detailed records")
         self._fold_aggregates(defn, count)
+
+    def record_counts(self, counts: Mapping[str, int]) -> None:
+        """Fold per-mnemonic execution *counts* via :meth:`record_bulk`.
+
+        Mnemonics fold in the mapping's order and zero counts are skipped.
+        Counts kept in first-execution order give Counters whose key
+        insertion order equals that of a per-instruction fold, so every core
+        that defers its tally this way builds the same trace, key for key.
+        """
+        by_mnemonic = INSTRUCTION_SET.by_mnemonic
+        for mnemonic, count in counts.items():
+            if count > 0:
+                self.record_bulk(by_mnemonic(mnemonic), count)
 
     def _fold_aggregates(self, defn: InstructionDef, count: int) -> None:
         mnemonic = defn.mnemonic

@@ -13,10 +13,10 @@ propagation-latency measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.isa.assembler import Program
-from repro.isa.decoder import DecodeError, decode
+from repro.isa.decoder import DecodeError, decode, decode_cached
 from repro.isa.registers import RegisterWindowError
 from repro.iss.memory import Memory, MemoryError_
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
@@ -150,6 +150,11 @@ class Leon3Core:
         trap_kind: Optional[str] = None
         annul_next = False
         misses_before = self.cmem.icache.misses + self.cmem.dcache.misses
+        # Aggregate traces tally mnemonics in first-execution order and fold
+        # once after the loop, exactly as the fast core does.
+        detailed = self.detailed_trace
+        counts: Dict[str, int] = {}
+        read_word = self.memory.read_word
 
         while executed < max_instructions:
             self.netlist.cycle = cycles
@@ -184,7 +189,16 @@ class Leon3Core:
             if misses_now != misses_before:
                 cycles += (misses_now - misses_before) * MISS_PENALTY
                 misses_before = misses_now
-            self._record_trace(trace, current_pc, cycles)
+            if detailed:
+                self._record_trace(trace, current_pc, cycles)
+            else:
+                # Decoded from the memory image, as in _record_trace.
+                try:
+                    mnemonic = decode_cached(read_word(current_pc)).defn.mnemonic
+                except (DecodeError, MemoryError_):
+                    pass
+                else:
+                    counts[mnemonic] = counts.get(mnemonic, 0) + 1
             while len(transaction_cycles) < len(self.bus.transactions):
                 transaction_cycles.append(cycles)
 
@@ -202,6 +216,7 @@ class Leon3Core:
                 self.npc += 4
                 annul_next = outcome.annul_delay_slot
 
+        trace.record_counts(counts)
         return RtlExecutionResult(
             transactions=list(self.bus.transactions),
             transaction_cycles=transaction_cycles,

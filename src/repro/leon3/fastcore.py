@@ -32,9 +32,11 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   scan, instead of every drive of every net scanning a fault dict.  Faults on
   combinational **nets** have no architectural shortcut — applying them
   faithfully requires driving the net — so those runs delegate to the
-  embedded reference core (bit-identity is then trivial).  Storage cells are
-  ~95% of the site universe, so uniform site sampling keeps campaigns on the
-  fast engine almost always.
+  embedded reference core (bit-identity is then trivial).  That fallback is
+  not rare traffic: on the paper benchmark (``paperbench`` ``paper_rtl``)
+  34.5% of jobs are net sites, and they took ~88% of the RTL core's time
+  before the reference core deferred its trace tally and the backend began
+  collapsing open-line net faults onto their stuck-at twins.
 
 * **Bulk accounting** — trace statistics are kept as a per-mnemonic counter
   and folded into the :class:`~repro.iss.trace.ExecutionTrace` after the run
@@ -1287,10 +1289,7 @@ class Leon3FastCore:
     def finish_run(self, state: _RtlRunState) -> RtlExecutionResult:
         """Fold the deferred trace tally and package the finished run."""
         trace = state.trace
-        if state.counts:
-            by_mnemonic = INSTRUCTION_SET.by_mnemonic
-            for mnemonic, count in state.counts.items():
-                trace.record_bulk(by_mnemonic(mnemonic), count)
+        trace.record_counts(state.counts)
         return RtlExecutionResult(
             transactions=list(self.transactions),
             transaction_cycles=list(state.transaction_cycles),

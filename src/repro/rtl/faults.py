@@ -6,10 +6,16 @@ bit of one VHDL signal/port/variable:
 * **stuck-at-1** — the bit always reads 1,
 * **stuck-at-0** — the bit always reads 0,
 * **open line**  — the bit is disconnected from its driver.  We model the
-  floating node as retaining the last value that was driven onto it (charge
-  retention), starting from 0; this places its severity between the two
-  stuck-at models, which matches the qualitative RTL behaviour reported in
-  the paper (Figures 5 and 6).
+  floating node as retaining the last value that was observed on it (charge
+  retention).  On a **net** that value never changes once the fault is
+  present, so the open line is exactly the stuck-at of the bit the net
+  latched when the fault appeared.  Runs inject just after a fault-free
+  reset, which leaves every net at 0 except the ``%sp`` write
+  (``rf.waddr`` = 14, ``rf.wdata`` = ``0x4007FFF0``): an open-line net fault
+  is a stuck-at-0, or a stuck-at-1 on those bits, and the RTL backend
+  collapses the twins (:class:`repro.engine.backend.Leon3RtlBackend`).  On a
+  **storage cell** the retained value is the array's previous read-port
+  value, which other cells' reads change, so the model stays distinct.
 """
 
 from __future__ import annotations

@@ -34,10 +34,11 @@ class Net:
     width: int
     unit: str
     value: int = 0
+    #: ``(1 << width) - 1``, stored because every drive applies it.
+    mask: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
+    def __post_init__(self) -> None:
+        self.mask = (1 << self.width) - 1
 
 
 class Netlist:
@@ -111,6 +112,10 @@ class Netlist:
                         value = fault.apply(value, net.value) & net.mask
         net.value = value
         return value
+
+    def latched_values(self) -> Dict[str, int]:
+        """Snapshot of every net's currently latched value, by net name."""
+        return {name: net.value for name, net in self._nets.items()}
 
     def sample(self, name: str) -> int:
         """Read the currently latched value of net *name*."""

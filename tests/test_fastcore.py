@@ -118,6 +118,53 @@ class TestBitIdentity:
         assert fast.cycles == reference.cycles
 
 
+def _ordered_aggregates(trace):
+    """The aggregate trace with the Counters' key insertion order kept."""
+    return (
+        list(trace.opcode_counts.items()),
+        list(trace.category_counts.items()),
+        list(trace.unit_counts.items()),
+        trace.unit_opcodes,
+        trace.total_instructions,
+        trace.memory_reads,
+        trace.memory_writes,
+    )
+
+
+class TestTraceOrder:
+    """Both cores defer the trace tally and fold it in first-execution order,
+    so their traces match key for key, not only as multisets."""
+
+    @pytest.mark.parametrize("name", ["rspeed", "intbench", "membench"])
+    def test_reference_and_fast_traces_match_key_for_key(self, name):
+        program = build_program(name)
+        fault = PermanentFault(
+            site=FaultSite(net="rf.cells", bit=3, unit="iu.regfile", index=38),
+            model=FaultModel.STUCK_AT_1,
+        )
+        for faults in ((), (fault,)):
+            reference, fast = verify_rtl_bit_identity(
+                program, faults=faults, max_instructions=400_000
+            )
+            assert _ordered_aggregates(fast.trace) == _ordered_aggregates(
+                reference.trace
+            )
+
+    def test_detailed_reference_trace_keeps_records_and_aggregates(self):
+        program = build_program("intbench")
+        aggregate = Leon3Core()
+        aggregate.load_program(program)
+        detailed = Leon3Core(detailed_trace=True)
+        detailed.load_program(program)
+        plain, full = aggregate.run(), detailed.run()
+        assert not plain.trace.records
+        assert len(full.trace.records) == full.trace.total_instructions > 0
+        assert [r.index for r in full.trace.records] == list(
+            range(full.trace.total_instructions)
+        )
+        assert _ordered_aggregates(full.trace) == _ordered_aggregates(plain.trace)
+
+
 class TestTrapCorners:
     """Every trap path of the pipeline, asserted bit-identical."""
 

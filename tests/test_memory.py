@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa.assembler import assemble
-from repro.iss.memory import Memory, MemoryError_
+from repro.iss.memory import PAGE_SHIFT, PAGE_SIZE, Memory, MemoryError_
 
 
 class TestByteAccess:
@@ -47,6 +47,26 @@ class TestWordAccess:
     def test_misaligned_word_read_raises(self):
         with pytest.raises(MemoryError_):
             Memory().read_word(0x201)
+        memory = Memory()
+        memory.write_word(0x200, 0x11223344)
+        for address in (0x202, 0x203):
+            with pytest.raises(MemoryError_):
+                memory.read_word(address)
+
+    def test_untouched_page_word_reads_zero_without_allocating(self):
+        memory = Memory()
+        memory.write_word(0x40000000, 1)
+        assert memory.read_word(0x80000000) == 0
+        assert memory.read_word(0xFFFFFFFC) == 0
+        assert list(memory.allocated_pages()) == [0x40000000 >> PAGE_SHIFT]
+
+    def test_last_word_of_a_page_matches_its_bytes(self):
+        memory = Memory()
+        last = 0x40000000 + PAGE_SIZE - 4
+        memory.write_bytes(last - 2, bytes(range(0xA0, 0xAA)))
+        assert memory.read_word(last) == int.from_bytes(memory.read_bytes(last, 4), "big")
+        assert memory.read_word(last) == 0xA2A3A4A5
+        assert memory.read_word(last + 4) == 0xA6A7A8A9  # first word of the next page
 
     def test_misaligned_word_write_raises(self):
         with pytest.raises(MemoryError_):
