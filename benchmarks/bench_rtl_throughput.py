@@ -8,9 +8,12 @@ once on the reference :class:`Leon3Core` and once on the fast
 :class:`~repro.leon3.fastcore.Leon3FastCore`, **verifying bit-identity of
 every golden and faulty run pair before any number is reported** (a
 wrong-but-fast cycle engine is worthless).  Sites are sampled from the full
-universe, so the series includes the occasional net site that the fast
-engine delegates to the reference core — the reported speedup is the honest
-campaign-level figure, not a storage-array best case.  Both series collapse
+universe, so the series includes net sites: the fast engine applies
+decode-net faults itself and runs the others on its
+reference-core fallback — the reported speedup is the honest campaign-level
+figure, not a storage-array best case.  Each row records the net-site jobs
+(``net_site_jobs``) and the runs that actually took the fallback
+(``net_fault_fallbacks``).  Both series collapse
 open-line net jobs: :class:`~repro.engine.backend.Leon3RtlBackend` serves an
 open-line net fault from the result of its stuck-at twin, which runs
 earlier in the series, so neither series simulates those jobs.
@@ -55,6 +58,20 @@ DEFAULT_WORKLOADS = ("rspeed", "membench", "intbench")
 
 #: Hard floor on the aggregate fast-vs-reference speedup.
 SPEEDUP_FLOOR = 3.0
+
+
+class FallbackCounter:
+    """Counts the runs *core* executes on its reference-core fallback."""
+
+    def __init__(self, core):
+        self.runs = 0
+        self._core = core
+        self._run = core.run
+        core.run = self._counted_run
+
+    def _counted_run(self, **kwargs):
+        self.runs += self._core.uses_fallback
+        return self._run(**kwargs)
 
 
 def run_series(backend, budget, faults):
@@ -112,7 +129,7 @@ def main() -> int:
             for model in ALL_FAULT_MODELS
             for site in sites
         ]
-        net_faults = sum(1 for fault in faults if fault.site.index is None)
+        net_jobs = sum(1 for fault in faults if fault.site.index is None)
         # Open line comes last in ALL_FAULT_MODELS, after its stuck-at twin.
         collapsed = sum(
             1 for fault in faults
@@ -120,6 +137,7 @@ def main() -> int:
         )
 
         ref_results, ref_s = run_series(reference, budget, faults)
+        fallbacks = FallbackCounter(fast.core)
         fast_results, fast_s = run_series(fast, budget, faults)
         for fault, expected, observed in zip(faults, ref_results, fast_results):
             if observed != expected:
@@ -133,7 +151,8 @@ def main() -> int:
         rows.append({
             "workload": name,
             "injections": injections,
-            "net_fault_fallbacks": net_faults,
+            "net_site_jobs": net_jobs,
+            "net_fault_fallbacks": fallbacks.runs,
             "collapsed_open_line_jobs": collapsed,
             "golden_instructions": golden_ref.instructions,
             "reference": {"seconds": round(ref_s, 4),
@@ -145,8 +164,8 @@ def main() -> int:
         total_injections += injections
         total_ref_s += ref_s
         total_fast_s += fast_s
-        print(f"  {name:10s} {injections:4d} inj ({net_faults} net-site fallbacks, "
-              f"{collapsed} collapsed)   "
+        print(f"  {name:10s} {injections:4d} inj ({net_jobs} net-site jobs, "
+              f"{fallbacks.runs} fallbacks, {collapsed} collapsed)   "
               f"ref {injections / ref_s:7.2f} inj/s   "
               f"fast {injections / fast_s:7.2f} inj/s   "
               f"{speedup:5.2f}x  (bit-identical)")

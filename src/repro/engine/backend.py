@@ -138,10 +138,16 @@ class Leon3RtlBackend:
     Single-fault permanent runs on net sites are memoized per
     :meth:`prepare` under ``(site, equivalent model, max_instructions)``:
     whichever of an open-line job and its stuck-at twin runs first fills the
-    memo, and the other is served from it without simulating.  These are
-    the runs that fall back to the reference core.  Storage cells are not
-    collapsed: their open line keeps the previous read-port value, a
-    different model.
+    memo, and the other is served from it without simulating.  Storage
+    cells are not collapsed: their open line keeps the previous read-port
+    value, a different model.
+
+    **Net faults on the fast core** split two ways over the 1162 IU net
+    bits: permanent faults on word-determined nets (124 bits:
+    ``iu.fe.inst`` and the nine ``iu.de.*`` nets) compile into the fast
+    core's per-PC decode; data-path nets (the other 1038 bits), all CMEM
+    nets and every transient net fault fall back to the embedded reference
+    core.
     """
 
     name = "rtl"

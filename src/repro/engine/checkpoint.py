@@ -593,8 +593,10 @@ class RtlCheckpointRunner(_CheckpointRunnerBase):
     :meth:`~repro.rtl.faults.TransientFault.active_at` is defined over).
     Forks restore the rung whose cycle count is at or before ``start_cycle``
     — the fault cannot have been active earlier, so the restored prefix is
-    the from-reset prefix.  Only storage-array sites fork (net sites need
-    the netlist walk and run from reset via the backend's fallback engine).
+    the from-reset prefix.  Only storage-array sites fork: every transient
+    net fault runs from reset on the fast core's reference-core fallback
+    (the fast engine applies net faults itself only when they are permanent
+    and on word-determined nets).
     """
 
     def supports(self, fault: TransientFault) -> bool:

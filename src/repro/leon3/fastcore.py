@@ -17,26 +17,35 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   accesses (which is observable under array faults through the open-line
   "previous value" rule).
 
-* **Decode memo + per-PC op cache** — instruction words are decoded through
-  the process-wide :func:`repro.isa.decoder.decode_cached` word→Instruction
-  memo (shared with the ISS fast path), then specialised per PC into a
-  :class:`_FastOp` with operands pre-extracted and branch/call targets
-  pre-resolved.  A cached op is validated against the *fetched* word (the
-  instruction cache is not coherent with stores, so a faulted or stale fetch
-  re-specialises automatically) and invalidated page-wise on stores (the
-  trace decodes from the memory image, which stores mutate).
+* **Per-PC op cache** — each instruction word is decoded once per PC by
+  the reference decode stage (the executable spec, so decode needs no second
+  copy) and specialised into a :class:`_FastOp` with operands pre-extracted
+  and branch/call targets pre-resolved.  A cached op is validated against
+  the *fetched* word (the instruction cache is not coherent with stores, so
+  a faulted or stale fetch re-specialises automatically) and invalidated
+  page-wise on stores (the trace decodes from the memory image, which
+  stores mutate).
 
 * **Sparse per-unit injection table** — :meth:`inject` compiles the active
   fault list into per-storage-array hook objects (register-file cells, cache
   tag/data/valid arrays): only accesses to a *faulted* array pay the fault
-  scan, instead of every drive of every net scanning a fault dict.  Faults on
-  combinational **nets** have no architectural shortcut — applying them
-  faithfully requires driving the net — so those runs delegate to the
-  embedded reference core (bit-identity is then trivial).  That fallback is
-  not rare traffic: on the paper benchmark (``paperbench`` ``paper_rtl``)
-  34.5% of jobs are net sites, and they took ~88% of the RTL core's time
-  before the reference core deferred its trace tally and the backend began
-  collapsing open-line net faults onto their stuck-at twins.
+  scan, instead of every drive of every net scanning a fault dict.
+  Permanent faults on combinational **nets** split two ways over the
+  1162 IU net bits:
+
+  - *word-determined* (124 bits: ``iu.fe.inst`` and the nine ``iu.de.*``
+    nets) — the driven value is a pure function of the fetched word, so
+    the fault compiles into the per-PC op.  Every op is built by the
+    reference decode stage itself, on the (possibly faulted) reference
+    netlist, and the op cache is flushed whenever such faults become or
+    stop being active;
+  - *data-path* (the other 1038 bits) — applying the fault faithfully
+    requires driving the net, so the run delegates to the embedded
+    reference core (bit-identity is then trivial).
+
+  CMEM nets, transient faults on any net, and any fault set that includes
+  a data-path net delegate too.  On the paper benchmark (``paperbench``
+  ``paper_rtl``) every net job falls in the first class.
 
 * **Bulk accounting** — trace statistics are kept as a per-mnemonic counter
   and folded into the :class:`~repro.iss.trace.ExecutionTrace` after the run
@@ -66,7 +75,7 @@ from repro.isa.ccodes import (
     icc_logic,
     icc_sub,
 )
-from repro.isa.decoder import DecodeError, Instruction, decode_cached
+from repro.isa.decoder import DecodeError, decode_cached
 from repro.isa.encoding import to_s32, to_u32
 from repro.isa.instructions import INSTRUCTION_SET, InstructionCategory
 from repro.isa.registers import NUM_GLOBALS, WINDOW_REGS, RegisterWindowError
@@ -224,7 +233,10 @@ class _FastOp:
     ops are revalidated against the next fetch, so stale-icache and
     fault-corrupted fetch paths re-specialise); ``trace_instr``/``trace_defn``
     come from the *memory image* at the same PC, matching the reference
-    core's trace convention.
+    core's trace convention.  The decode fields are those the reference
+    decode stage drives: *imm* is the 32-bit immediate operand (``None``
+    when ``rs2`` supplies it; the shifted value for ``sethi``), *cond* the
+    branch condition.
     """
 
     __slots__ = (
@@ -234,33 +246,35 @@ class _FastOp:
         "trace_instr", "trace_defn", "trace_mnemonic",
     )
 
-    def __init__(self, instruction: Instruction, pc: int, memory: Memory):
-        defn = instruction.defn
+    def __init__(
+        self, pc: int, word: int, memory: Memory, defn, rd: int, rs1: int,
+        rs2: int, imm: Optional[int], cond: Optional[int], annul: bool,
+        disp: int,
+    ):
         mnemonic = defn.mnemonic
-        self.word = instruction.word
+        self.word = word
         self.mnemonic = mnemonic
         self.handler = _HANDLER_TABLE[mnemonic]
         self.latency = defn.latency
-        self.rd = instruction.rd
-        self.rs1 = instruction.rs1
-        self.rs2 = instruction.rs2
-        imm = instruction.imm
+        self.rd = rd
+        self.rs1 = rs1
+        self.rs2 = rs2
         self.use_imm = imm is not None
-        self.imm_u32 = to_u32(imm) if imm is not None else None
+        self.imm_u32 = imm
         self.sets_icc = defn.sets_icc
         self.access_size = defn.access_size
         self.sign_extend_load = defn.sign_extend
         if defn.category is InstructionCategory.BRANCH:
-            self.cond = defn.cond
-            self.annul = instruction.annul
-            self.annul_taken = instruction.annul and defn.cond == 0x8
-            self.target = to_u32(pc + instruction.disp)
+            self.cond = cond
+            self.annul = annul
+            self.annul_taken = annul and cond == 0x8
+            self.target = to_u32(pc + disp)
         elif mnemonic == "call":
-            self.target = to_u32(pc + instruction.disp)
+            self.target = to_u32(pc + disp)
         elif mnemonic == "sethi":
-            self.value = to_u32(instruction.imm << 10)
+            self.value = imm
         elif mnemonic == "ticc":
-            self.cond = instruction.rd & 0xF
+            self.cond = rd & 0xF
         try:
             traced = decode_cached(memory.read_word(pc))
         except (DecodeError, MemoryError_):
@@ -297,7 +311,8 @@ def _h_branch(core, op):
 
 
 def _h_call(core, op):
-    core._rf_write(15, core.pc)
+    # The link register is the decoded rd (15 unless iu.de.rd is faulted).
+    core._rf_write(op.rd, core.pc)
     return (op.target, False)
 
 
@@ -686,13 +701,22 @@ _HANDLER_TABLE: Dict[str, Callable] = {
     defn.mnemonic: _handler_for(defn) for defn in INSTRUCTION_SET
 }
 
-#: Storage arrays the fast engine injects into natively.  Every other site
-#: (a combinational net) delegates the run to the reference core.
+#: Storage arrays the fast engine injects into natively.
 _NATIVE_ARRAYS = frozenset(
     {
         "rf.cells",
         "icache.tags", "icache.data", "icache.valid",
         "dcache.tags", "dcache.data", "dcache.valid",
+    }
+)
+
+#: Word-determined nets (124 bits): the value driven on them is a pure
+#: function of the fetched instruction word, so a permanent fault on them
+#: compiles into the per-PC op (built through the reference decode stage).
+_WORD_NETS = frozenset(
+    {
+        "iu.fe.inst", "iu.de.inst", "iu.de.op", "iu.de.op3", "iu.de.rd",
+        "iu.de.rs1", "iu.de.rs2", "iu.de.imm", "iu.de.use_imm", "iu.de.cond",
     }
 )
 
@@ -731,8 +755,10 @@ class Leon3FastCore:
     (``load_program`` / ``reset`` / ``reload`` / ``inject`` /
     ``clear_faults`` / ``run`` / ``sites`` / ``netlist``).  An embedded
     reference :class:`Leon3Core` provides the site universe, validates
-    injected faults, and executes the runs whose faults target combinational
-    nets (which only the netlist walk can apply faithfully).
+    injected faults, decodes every instruction word (under any
+    word-determined net faults), and executes the runs whose faults target
+    data-path or CMEM nets (which only the netlist walk can apply
+    faithfully; see the module docstring for the split of net faults).
     """
 
     def __init__(
@@ -773,6 +799,8 @@ class Leon3FastCore:
         self._rf_fault: Optional[_ArrayFaultState] = None
         self._array_states: Dict[str, _ArrayFaultState] = {}
         self._fallback = False
+        self._word_faults = False
+        self._word_nets_at_reset: Dict[str, int] = {}
         #: Decode specialisations built (one per distinct PC between
         #: invalidations) — observable for tests and diagnostics.
         self.decode_fills = 0
@@ -803,7 +831,15 @@ class Leon3FastCore:
         self._ref.inject(fault_list)
         for fault in fault_list:
             site = fault.site
-            if site.index is None or site.net not in _NATIVE_ARRAYS:
+            if site.index is None:
+                if isinstance(fault, PermanentFault) and site.net in _WORD_NETS:
+                    # Ops built so far decoded without this fault.
+                    self._word_faults = True
+                    self._flush_op_cache()
+                else:
+                    self._fallback = True
+                continue
+            if site.net not in _NATIVE_ARRAYS:
                 self._fallback = True
                 continue
             state = self._array_states.get(site.net)
@@ -834,6 +870,10 @@ class Leon3FastCore:
         self.icache.tag_fault = self.icache.data_fault = self.icache.valid_fault = None
         self.dcache.tag_fault = self.dcache.data_fault = self.dcache.valid_fault = None
         self._fallback = False
+        if self._word_faults:
+            # Ops built under the faults must not outlive them.
+            self._word_faults = False
+            self._flush_op_cache()
 
     # -- program management -------------------------------------------------------
 
@@ -841,6 +881,12 @@ class Leon3FastCore:
         """Load *program* and reset; snapshots the image for fast reloads."""
         self._program = program
         self._ref.load_program(program)
+        # An open line on a word-determined net holds the bit the net
+        # latched at reset (when runs inject their faults), on every decode.
+        netlist = self._ref.netlist
+        self._word_nets_at_reset = {
+            name: netlist.sample(name) for name in sorted(_WORD_NETS)
+        }
         self.memory.clear()
         self.memory.load_program(program)
         self._mem_snapshot = {
@@ -911,7 +957,13 @@ class Leon3FastCore:
     # runs from mid-execution.
 
     def native_site(self, site) -> bool:
-        """True when a fault at *site* runs on the fast engine (storage cell)."""
+        """True when a transient fault at *site* can fork from a checkpoint.
+
+        Only storage cells: every transient net fault, and every permanent
+        fault on a data-path net, runs from reset on the reference core.
+        Permanent faults on word-determined nets also run on the fast
+        engine, but this answers the fork question only.
+        """
         return site.index is not None and site.net in _NATIVE_ARRAYS
 
     def capture_state(self, state: _RtlRunState) -> dict:
@@ -1107,11 +1159,24 @@ class Leon3FastCore:
     # -- decode specialisation ----------------------------------------------------
 
     def _build_op(self, pc: int, word: int) -> _FastOp:
-        try:
-            instruction = decode_cached(word)
-        except DecodeError as exc:
-            raise IuTrap("illegal_instruction", str(exc)) from exc
-        op = _FastOp(instruction, pc, self.memory)
+        """Specialise *word* at *pc* through the reference decode stage.
+
+        Runs the reference fetch-latch drive and decode stage (the executable
+        spec, trapping exactly where it traps) on the reference netlist, which
+        carries any word-determined net faults.  Those nets are first put
+        back to their post-reset values so an open line reads the bit it
+        latched at reset.
+        """
+        netlist = self._ref.netlist
+        for name, value in self._word_nets_at_reset.items():
+            netlist.net(name).value = value
+        decoded = self._ref.iu._decode_stage(netlist.drive("iu.fe.inst", word))
+        op = _FastOp(
+            pc, word, self.memory, decoded["defn"], decoded.get("rd", 0),
+            decoded.get("rs1", 0), decoded.get("rs2", 0), decoded.get("imm"),
+            decoded.get("cond"), decoded.get("annul", False),
+            decoded.get("disp", 0),
+        )
         self._op_cache[pc] = op
         self._code_pages.setdefault(pc >> PAGE_SHIFT, set()).add(pc)
         self.decode_fills += 1
@@ -1123,13 +1188,13 @@ class Leon3FastCore:
         """Run until the program exits (``ta 0``), traps or exhausts the budget.
 
         Delegates to the embedded reference core when the active faults
-        include net sites (see the module docstring); otherwise executes the
-        flattened fast engine.
+        include a data-path or CMEM net, or a transient net fault (see the
+        module docstring); otherwise executes the flattened fast engine.
         """
         if self._program is None:
             raise RuntimeError("no program loaded")
         if self._fallback:
-            # Net faults need the netlist walk.  Replay the canonical
+            # Data-path net faults need the netlist walk.  Replay the canonical
             # backend order on the reference core — reset *then* inject — so
             # the reset-time state writes (%sp, PSR) are driven fault-free,
             # exactly as they are when the reference core is used directly.
@@ -1155,8 +1220,8 @@ class Leon3FastCore:
             raise RuntimeError("no program loaded")
         if self._fallback:
             raise RuntimeError(
-                "segmented runs require storage-array faults only "
-                "(net faults delegate to the reference core)"
+                "segmented runs require faults the fast engine applies "
+                "(data-path net faults delegate to the reference core)"
             )
         return _RtlRunState(self.detailed_trace)
 

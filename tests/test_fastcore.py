@@ -4,8 +4,9 @@ The fast cycle engine's whole value proposition is that it is *not* a second
 implementation of the structural model from the campaign's point of view:
 every observable must match the reference core bit for bit.  These tests
 enforce that contract across the workload registry, fault-free and under
-injected faults (storage-array sites on the fast engine, net sites through
-the reference fallback), plus the specialisation-cache invalidation rules,
+injected faults (storage-array sites and decode nets on the fast engine,
+data-path nets through the reference fallback), plus the
+specialisation-cache invalidation rules,
 the backend/config/store plumbing of the ``fast`` flag, and the
 result-transparency fix the contract depends on.
 """
@@ -22,12 +23,19 @@ from repro.faultinjection.campaign import run_iu_campaign
 from repro.isa.assembler import assemble
 from repro.leon3.core import Leon3Core
 from repro.leon3.fastcore import (
+    _WORD_NETS,
     Leon3FastCore,
     assert_rtl_results_identical,
     run_program_fast_rtl,
     verify_rtl_bit_identity,
 )
-from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel, PermanentFault
+from repro.leon3.regfile import physical_register_index
+from repro.rtl.faults import (
+    ALL_FAULT_MODELS,
+    FaultModel,
+    PermanentFault,
+    TransientFault,
+)
 from repro.rtl.sites import FaultSite
 from repro.store.keys import backend_identity
 from repro.workloads.registry import all_workloads, build_program
@@ -341,6 +349,182 @@ class TestFaultCompilation:
         bogus = FaultSite(net="rf.cells", bit=40, unit="iu.regfile", index=3)
         with pytest.raises(NetlistError):
             core.inject([PermanentFault(site=bogus, model=FaultModel.STUCK_AT_1)])
+
+
+#: Bits of the 32-bit word-determined nets the quick sweep covers; an odd
+#: stride lands in every instruction-word field.
+_WIDE_NET_STRIDE = 5
+
+
+def _strided_native_net_sites(netlist):
+    """Every bit of the narrow decode nets, a stride of the 32-bit ones."""
+    sites = []
+    for net in sorted(_WORD_NETS):
+        width = netlist.net(net).width
+        step = _WIDE_NET_STRIDE if width == 32 else 1
+        sites += [netlist.site_for(net, bit) for bit in range(0, width, step)]
+    return sites
+
+
+def _run_pair(reference, fast, faults, budget):
+    """Run *faults* from reset on both cores and assert bit-identity."""
+    reference.clear_faults()
+    reference.reload()
+    reference.inject(faults)
+    expected = reference.run(max_instructions=budget)
+    fast.clear_faults()
+    fast.reload()
+    fast.inject(faults)
+    observed = fast.run(max_instructions=budget)
+    assert_rtl_results_identical(reference, expected, fast, observed)
+    return fast.uses_fallback
+
+
+def _native_net_sweep(program, sites):
+    """Every site x permanent model on one reused fast core: identical to
+    a from-reset reference run, no fallback, and a fault-free run after
+    each faulted one still equals the golden run."""
+    fast = Leon3FastCore()
+    fast.load_program(program)
+    golden = fast.run(max_instructions=400_000)
+    budget = watchdog_budget(golden.instructions)
+    reference = Leon3Core()
+    reference.load_program(program)
+    for site in sites:
+        for model in ALL_FAULT_MODELS:
+            fault = PermanentFault(site=site, model=model)
+            assert not _run_pair(reference, fast, [fault], budget), fault
+            fast.clear_faults()
+            fast.reload()
+            assert fast.run(max_instructions=400_000) == golden, fault
+
+
+class TestNativeNetFaults:
+    """Permanent faults on word-determined nets run on the fast engine,
+    compiled into the per-PC ops."""
+
+    def test_net_bit_split(self):
+        netlist = Leon3Core().netlist
+        iu_net_bits = sum(
+            1 for site in netlist.universe.iter_sites(["iu"]) if site.index is None
+        )
+        assert iu_net_bits == 1162
+        assert sum(netlist.net(net).width for net in _WORD_NETS) == 124
+
+    def test_strided_bits_match_the_reference(self):
+        program = build_program("excerpt_a2time")
+        _native_net_sweep(program, _strided_native_net_sites(Leon3Core().netlist))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(all_workloads()))
+    def test_every_bit_on_every_workload(self, name):
+        netlist = Leon3Core().netlist
+        sites = [
+            netlist.site_for(net, bit)
+            for net in sorted(_WORD_NETS)
+            for bit in range(netlist.net(net).width)
+        ]
+        _native_net_sweep(all_workloads()[name].build(), sites)
+
+    @pytest.mark.parametrize("faults", [
+        [TransientFault(
+            site=FaultSite(net="iu.de.cond", bit=1, unit="iu.decode"),
+            start_cycle=40, duration=200,
+        )],
+        [
+            PermanentFault(
+                site=FaultSite(net="iu.de.cond", bit=1, unit="iu.decode"),
+                model=FaultModel.STUCK_AT_1,
+            ),
+            PermanentFault(
+                site=FaultSite(net="alu.adder.sum", bit=2, unit="iu.alu.adder"),
+                model=FaultModel.STUCK_AT_0,
+            ),
+        ],
+        [PermanentFault(
+            site=FaultSite(net="iu.fe.npc", bit=2, unit="iu.fetch"),
+            model=FaultModel.STUCK_AT_1,
+        )],
+    ], ids=["transient-decode", "decode-plus-data-path", "fetch-npc"])
+    def test_other_net_faults_fall_back(self, faults):
+        program = build_program("excerpt_a2time")
+        fast = Leon3FastCore()
+        fast.load_program(program)
+        reference = Leon3Core()
+        reference.load_program(program)
+        assert _run_pair(reference, fast, faults, 8_000)
+
+    def test_open_line_reads_the_reset_bit_after_a_fallback_run(self):
+        # The fallback run leaves the reference netlist's decode nets latched
+        # at the last decoded word (``ta 0``: op = 2); the open line must
+        # still read the bit latched at reset.
+        program = build_program("excerpt_a2time")
+        fast = Leon3FastCore()
+        fast.load_program(program)
+        reference = Leon3Core()
+        reference.load_program(program)
+        never_active = TransientFault(
+            site=FaultSite(net="iu.de.cond", bit=1, unit="iu.decode"),
+            start_cycle=10**9,
+        )
+        for net, bit in (("iu.de.op", 1), ("iu.de.inst", 31)):
+            assert _run_pair(reference, fast, [never_active], 8_000)
+            open_line = PermanentFault(
+                site=FaultSite(net=net, bit=bit, unit="iu.decode"),
+                model=FaultModel.OPEN_LINE,
+            )
+            assert not _run_pair(reference, fast, [open_line], 8_000)
+
+    def test_call_links_through_the_decoded_rd(self):
+        # iu.de.rd stuck-at-1 on bit 4 turns call's rd 15 (%o7) into 31
+        # (%i7); ta's condition (rd & 0xF) is unchanged.
+        program = assemble(
+            """
+            .text
+    start:
+            call    target
+            nop
+    target:
+            ta      0
+            """,
+            name="call-link",
+        )
+        fault = PermanentFault(
+            site=FaultSite(net="iu.de.rd", bit=4, unit="iu.decode"),
+            model=FaultModel.STUCK_AT_1,
+        )
+        fast = Leon3FastCore()
+        fast.load_program(program)
+        reference = Leon3Core()
+        reference.load_program(program)
+        assert not _run_pair(reference, fast, [fault], 1_000)
+        cell = functools.partial(physical_register_index, cwp=0, nwindows=8)
+        assert fast.cells[cell(31)] == program.entry_point
+        assert fast.cells[cell(15)] == 0
+
+    def test_op_cache_is_flushed_at_fault_boundaries(self):
+        core = Leon3FastCore()
+        core.load_program(build_program("intbench"))
+        core.run(max_instructions=400_000)
+        assert core._op_cache
+        site = core.netlist.site_for("iu.de.cond", 1)
+        core.inject([PermanentFault(site=site, model=FaultModel.STUCK_AT_1)])
+        assert not core._op_cache
+        core.reload()
+        core.run(max_instructions=400_000)
+        assert core._op_cache
+        core.clear_faults()
+        assert not core._op_cache
+        # Array faults leave the cache alone.
+        core.run(max_instructions=400_000)
+        core.inject([
+            PermanentFault(
+                site=core.netlist.site_for("rf.cells", 0, index=20),
+                model=FaultModel.STUCK_AT_1,
+            ),
+        ])
+        assert core._op_cache
+        assert not core.uses_fallback
 
 
 class TestResultTransparency:
