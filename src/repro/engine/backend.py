@@ -35,8 +35,10 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     Union,
+    cast,
     runtime_checkable,
 )
 
@@ -48,7 +50,7 @@ from repro.iss.memory import Memory
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 from repro.leon3.core import Leon3Core, RtlExecutionResult
 from repro.leon3.fastcore import Leon3FastCore
-from repro.rtl.faults import FaultModel, PermanentFault, TransientFault
+from repro.rtl.faults import CellReads, FaultModel, PermanentFault, TransientFault
 from repro.rtl.sites import FaultSite, SiteUniverse
 
 if TYPE_CHECKING:
@@ -148,6 +150,13 @@ class Leon3RtlBackend:
     core's per-PC decode; data-path nets (the other 1038 bits), all CMEM
     nets and every transient net fault fall back to the embedded reference
     core.
+
+    **Read watching.**  ``run(watch=sites)`` on the fast core records every
+    read of those storage cells during a fault-free run and leaves the
+    summary in :attr:`cell_reads` (see
+    :meth:`~repro.leon3.fastcore.Leon3FastCore.watch`); the campaign
+    engine's golden run uses it to resolve inert storage-cell faults
+    without simulating them.
     """
 
     name = "rtl"
@@ -173,6 +182,9 @@ class Leon3RtlBackend:
         self._program: Optional[Program] = None
         self._reset_latched: Dict[str, int] = {}
         self._collapsed: Dict[Tuple[FaultSite, FaultModel, int], RunResult] = {}
+        #: Reads of the cells the latest run watched, per ``(array, cell)``;
+        #: ``None`` when it watched none (or ran on the reference core).
+        self.cell_reads: Optional[Dict[Tuple[str, int], CellReads]] = None
 
     def prepare(self, program: Program) -> None:
         self._program = program
@@ -215,9 +227,12 @@ class Leon3RtlBackend:
         self,
         max_instructions: int,
         faults: Iterable[Union[PermanentFault, TransientFault]] = (),
+        *,
+        watch: Sequence[FaultSite] = (),
     ) -> RunResult:
         if self._program is None:
             raise RuntimeError("backend not prepared: call prepare(program) first")
+        self.cell_reads = None
         fault_list = list(faults)
         key = self._collapse_key(fault_list, max_instructions)
         if key is not None:
@@ -228,6 +243,8 @@ class Leon3RtlBackend:
         self.core.reload()
         if fault_list:
             self.core.inject(fault_list)
+        if watch and self.fast:
+            self.cell_reads = cast(Leon3FastCore, self.core).watch(watch)
         native: RtlExecutionResult = self.core.run(max_instructions=max_instructions)
         self.core.clear_faults()
         result = RunResult(

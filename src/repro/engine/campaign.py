@@ -60,6 +60,7 @@ from repro.engine.checkpoint import make_checkpoint_runner
 from repro.engine.jobs import (
     CampaignJob,
     CampaignPlan,
+    InertScreen,
     OutcomeRecord,
     TransientJob,
     plan_jobs,
@@ -290,6 +291,8 @@ class CampaignEngine:
         )
         self._backend: Optional[ExecutionBackend] = None
         self._golden: Optional[RunResult] = None
+        #: Inert screen built by a golden run this process executed.
+        self._screen: Optional[InertScreen] = None
         #: Planner-local checkpoint runner of a transient campaign (its
         #: ladder recording doubles as the golden run; the serial scheduler
         #: reuses it through the plan, workers build their own).
@@ -361,9 +364,14 @@ class CampaignEngine:
         is served from the store when an earlier campaign already published
         the recording — after state-digest verification, so a served golden
         is bit-identical to a fresh one.
+
+        A permanent campaign on the fast RTL core watches the sampled storage
+        cells while its golden executes, and keeps the reads as the plan's
+        inert screen (a served golden builds none).
         """
         if self._golden is None:
             config = self.config
+            watch = self._watch_sites()
             runner = None
             if config.transient:
                 runner = make_checkpoint_runner(
@@ -382,7 +390,10 @@ class CampaignEngine:
                     self._artifact_store_path,
                     self._artifact_key,
                     config.lockstep_width,
+                    watch,
                 )
+            if watch:
+                self._screen = cast(Leon3RtlBackend, self.backend).cell_reads
             if not golden.normal_exit:
                 raise RuntimeError(
                     f"golden run of {self.program.name!r} did not exit normally "
@@ -390,6 +401,19 @@ class CampaignEngine:
                 )
             self._golden = golden
         return self._golden
+
+    def _watch_sites(self) -> List[FaultSite]:
+        """The storage cells the golden run watches: the sampled cells of a
+        permanent campaign on the fast RTL core, none otherwise.  Watching
+        every cell instead of the sample doubles the golden's cost."""
+        backend = self.backend
+        if (
+            self.config.transient
+            or not isinstance(backend, Leon3RtlBackend)
+            or not backend.fast
+        ):
+            return []
+        return [site for site in self.select_sites() if site.index is not None]
 
     # -- planning ------------------------------------------------------------------------
 
@@ -500,6 +524,7 @@ class CampaignEngine:
             lockstep_width=self.config.lockstep_width,
             artifact_store_path=self._artifact_store_path,
             artifact_key=self._artifact_key,
+            screen=self._screen,
         )
 
     def artifact_address(self) -> str:
@@ -851,6 +876,7 @@ class CampaignEngine:
                     lockstep_width=config.lockstep_width,
                     artifact_store_path=self._artifact_store_path,
                     artifact_key=self._artifact_key,
+                    screen=self._screen,
                 )
                 scheduler = make_scheduler(
                     config.scheduler, config.n_workers, config.chunk_size

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faultinjection.comparison import FailureClass
 from repro.faultinjection.results import InjectionOutcome
 from repro.isa.assembler import Program
-from repro.rtl.faults import FaultModel, PermanentFault, TransientFault
+from repro.rtl.faults import CellReads, FaultModel, PermanentFault, TransientFault
 from repro.rtl.sites import FaultSite
 
 from repro.engine.backend import ExecutionBackend, RunResult
@@ -63,6 +63,19 @@ class TransientJob:
 
 #: Either job flavour, as schedulers and the store see them.
 CampaignJob = Union[InjectionJob, TransientJob]
+
+#: The inert screen: the golden run's reads of each watched storage cell,
+#: keyed ``(array, cell index)`` (see :meth:`PermanentFault.inert_on`).
+InertScreen = Dict[Tuple[str, int], CellReads]
+
+
+def screened(job: CampaignJob, screen: Optional[InertScreen]) -> bool:
+    """True when *screen* proves *job*'s fault never changes a golden read,
+    so its faulty run is the golden run."""
+    if screen is None or not isinstance(job, InjectionJob) or job.site.index is None:
+        return False
+    reads = screen.get((job.site.net, job.site.index))
+    return reads is not None and job.fault.inert_on(reads)
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,9 @@ class CampaignPlan:
     #: (:func:`repro.store.keys.artifact_key`); set together with
     #: ``artifact_store_path``.
     artifact_key: Optional[str] = None
+    #: Inert screen of permanent plans whose golden ran (watched) in this
+    #: process; ``None`` runs every job.  Shipped to pool workers.
+    screen: Optional[InertScreen] = None
 
     @property
     def transient(self) -> bool:

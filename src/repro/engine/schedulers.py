@@ -51,12 +51,25 @@ from typing import (
 
 from repro.faultinjection.comparison import compare_runs
 
-from repro.engine.backend import ExecutionBackend, RunResult, watchdog_budget
+from repro.engine.backend import (
+    ExecutionBackend,
+    Leon3RtlBackend,
+    RunResult,
+    watchdog_budget,
+)
 from repro.engine.checkpoint import make_checkpoint_runner
-from repro.engine.jobs import CampaignJob, CampaignPlan, OutcomeRecord, TransientJob
+from repro.engine.jobs import (
+    CampaignJob,
+    CampaignPlan,
+    InertScreen,
+    OutcomeRecord,
+    TransientJob,
+    screened,
+)
 from repro.engine.lockstep import make_pack_runner
 from repro.obs.events import EventLog
 from repro.obs.telemetry import TELEMETRY
+from repro.rtl.sites import FaultSite
 
 if TYPE_CHECKING:
     from repro.engine.checkpoint import _CheckpointRunnerBase
@@ -77,13 +90,16 @@ def execute_job(
     job: CampaignJob,
     runner: Optional["_CheckpointRunnerBase"] = None,
     early_exit: bool = True,
+    screen: Optional[InertScreen] = None,
 ) -> OutcomeRecord:
     """Run one injection job on *backend* and classify it against *golden*.
 
-    Transient jobs go through *runner* (the checkpointed transient runtime of
+    A permanent job that *screen* (the plan's inert screen) proves inert
+    takes *golden* as its faulty run without simulating.  Transient jobs go
+    through *runner* (the checkpointed transient runtime of
     :mod:`repro.engine.checkpoint`) when one is available — bit-identical to
-    the from-reset run, just faster; permanent jobs and runner-less transient
-    jobs execute from reset.
+    the from-reset run, just faster; other permanent jobs and runner-less
+    transient jobs execute from reset.
 
     The span is the one clock path for injection timing:
     ``OutcomeRecord.seconds`` always comes from it, and with telemetry
@@ -91,7 +107,10 @@ def execute_job(
     histogram and the trace event stream.
     """
     with TELEMETRY.span("engine.job") as span:
-        if runner is not None and isinstance(job, TransientJob):
+        if screened(job, screen):
+            TELEMETRY.inc("engine.jobs_screened")
+            faulty = golden
+        elif runner is not None and isinstance(job, TransientJob):
             faulty = runner.run_transient(job.fault, budget, early_exit=early_exit)
         else:
             faulty = backend.run(max_instructions=budget, faults=[job.fault])
@@ -229,6 +248,7 @@ class SerialScheduler:
                 execute_job(
                     plan.backend, plan.golden, budget, job,
                     runner=runner, early_exit=plan.early_exit,
+                    screen=plan.screen,
                 )
             )
         return records
@@ -251,9 +271,13 @@ def _acquire_golden(
     artifact_store_path: Optional[str],
     artifact_key: Optional[str],
     lockstep_width: int = 1,
+    watch: Sequence[FaultSite] = (),
 ) -> RunResult:
     """Obtain this worker's golden reference, through the artifact cache
     when the plan carries its coordinates.
+
+    A plain golden that executes here watches the storage cells *watch*
+    (``Leon3RtlBackend.run(watch=...)``); a served one watches nothing.
 
     On a hit the serialized recording is loaded (and, for ladders,
     digest-verified against the live engine by ``from_artifact``) instead of
@@ -269,7 +293,7 @@ def _acquire_golden(
             # The ladder recording *is* the worker's golden run (the recorded
             # result is bit-identical to a plain run — the checkpoint contract).
             return runner.golden()
-        return backend.run(max_instructions=max_instructions)
+        return _run_golden(backend, max_instructions, watch)
     from repro.store import CampaignStore
     from repro.store.artifacts import (
         ArtifactError,
@@ -309,7 +333,7 @@ def _acquire_golden(
                 pack_artifact(runner.to_artifact()),
             )
             return golden
-        golden = backend.run(max_instructions=max_instructions)
+        golden = _run_golden(backend, max_instructions, watch)
         try:
             packed = pack_artifact(golden_to_payload(golden))
         except ArtifactError:
@@ -318,6 +342,14 @@ def _acquire_golden(
             artifact_key, "golden", program.name, backend.name, packed
         )
         return golden
+
+
+def _run_golden(
+    backend: ExecutionBackend, max_instructions: int, watch: Sequence[FaultSite]
+) -> RunResult:
+    if watch:
+        return cast(Leon3RtlBackend, backend).run(max_instructions, watch=watch)
+    return backend.run(max_instructions=max_instructions)
 
 
 def _init_worker(
@@ -332,6 +364,7 @@ def _init_worker(
     trace_path: Optional[str] = None,
     artifact_store_path: Optional[str] = None,
     artifact_key: Optional[str] = None,
+    screen: Optional[InertScreen] = None,
 ) -> None:
     # Mirror the parent's telemetry state into this worker process: the
     # registry is process-local, so each worker accumulates its own deltas
@@ -364,6 +397,9 @@ def _init_worker(
     _WORKER["budget"] = watchdog_budget(golden.instructions)
     _WORKER["runner"] = runner
     _WORKER["early_exit"] = early_exit
+    # The planner's screen is valid here: this worker's golden is
+    # bit-identical to the planner's, whether executed or served.
+    _WORKER["screen"] = screen
     _WORKER["pack_runner"] = make_pack_runner(
         backend, max_instructions, lockstep_width, runner=runner
     )
@@ -381,6 +417,7 @@ def _run_batch(
     budget: int = _WORKER["budget"]  # type: ignore[assignment]
     runner = cast("Optional[_CheckpointRunnerBase]", _WORKER.get("runner"))
     early_exit: bool = _WORKER.get("early_exit", True)  # type: ignore[assignment]
+    screen = cast("Optional[InertScreen]", _WORKER.get("screen"))
     pack_runner = cast(
         "Optional[LockstepPackRunner]", _WORKER.get("pack_runner")
     )
@@ -395,7 +432,8 @@ def _run_batch(
     else:
         records = [
             execute_job(
-                backend, golden, budget, job, runner=runner, early_exit=early_exit
+                backend, golden, budget, job, runner=runner,
+                early_exit=early_exit, screen=screen,
             )
             for job in jobs
         ]
@@ -459,7 +497,7 @@ class MultiprocessingScheduler:
                 plan.transient, plan.checkpoint_interval, plan.early_exit,
                 plan.lockstep_width, TELEMETRY.enabled,
                 events.path if events is not None else None,
-                plan.artifact_store_path, plan.artifact_key,
+                plan.artifact_store_path, plan.artifact_key, plan.screen,
             ),
         ) as pool:
             for batch_records, snapshot in pool.imap(_run_batch, batches):

@@ -74,17 +74,24 @@ class Memory:
     def write_word(self, address: int, value: int) -> None:
         if address % 4:
             raise MemoryError_(f"misaligned word write at {address:#010x}")
-        self.write_bytes(address, (value & 0xFFFFFFFF).to_bytes(4, "big"))
+        page, offset = self._page(address)
+        page[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "big")
 
     def read_half(self, address: int) -> int:
         if address % 2:
             raise MemoryError_(f"misaligned halfword read at {address:#010x}")
-        return int.from_bytes(self.read_bytes(address, 2), "big")
+        address &= ADDRESS_MASK
+        page = self._pages.get(address >> PAGE_SHIFT)
+        if page is None:
+            return 0
+        offset = address & PAGE_MASK
+        return int.from_bytes(page[offset:offset + 2], "big")
 
     def write_half(self, address: int, value: int) -> None:
         if address % 2:
             raise MemoryError_(f"misaligned halfword write at {address:#010x}")
-        self.write_bytes(address, (value & 0xFFFF).to_bytes(2, "big"))
+        page, offset = self._page(address)
+        page[offset:offset + 2] = (value & 0xFFFF).to_bytes(2, "big")
 
     def read_double(self, address: int) -> Tuple[int, int]:
         if address % 8:

@@ -47,6 +47,13 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   a data-path net delegate too.  On the paper benchmark (``paperbench``
   ``paper_rtl``) every net job falls in the first class.
 
+* **Read watching** — :meth:`Leon3FastCore.watch` binds a recorder to the
+  same per-array hook points for a fault-free run and folds every read of
+  the watched cells into a :class:`~repro.rtl.faults.CellReads`.  The
+  campaign engine's golden run watches the sampled storage cells, and a
+  job whose fault changes none of those reads takes the golden result
+  without simulating (the inert screen).
+
 * **Bulk accounting** — trace statistics are kept as a per-mnemonic counter
   and folded into the :class:`~repro.iss.trace.ExecutionTrace` after the run
   (:meth:`ExecutionTrace.record_bulk`); latency, miss penalties and
@@ -66,7 +73,7 @@ image), fault-free and under injected faults.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.isa.ccodes import (
     ConditionCodes,
@@ -88,7 +95,8 @@ from repro.leon3.core import (
     RtlExecutionResult,
 )
 from repro.leon3.iu import IO_BASE, IuTrap
-from repro.rtl.faults import PermanentFault
+from repro.rtl.faults import CellReads, PermanentFault
+from repro.rtl.sites import FaultSite
 
 _U32 = 0xFFFFFFFF
 
@@ -128,6 +136,32 @@ class _ArrayFaultState:
         return value
 
 
+class _ArrayWatch:
+    """Read recorder for the watched cells of one storage array.
+
+    Bound to the same hook points as :class:`_ArrayFaultState` (see
+    :meth:`Leon3FastCore.watch`), so it sees exactly the reads a fault on
+    the array would see, and keeps ``last_read`` by the same rule.
+    """
+
+    __slots__ = ("cells", "last_read")
+
+    def __init__(self) -> None:
+        self.cells: Dict[int, CellReads] = {}
+        self.last_read = 0
+
+    def read(self, index: int, value: int) -> int:
+        reads = self.cells.get(index)
+        if reads is not None:
+            reads.record(value, self.last_read)
+        self.last_read = value
+        return value
+
+
+#: A storage-array read hook: fault application or read watching.
+_ArrayHook = Union[_ArrayFaultState, _ArrayWatch]
+
+
 class _FastCache:
     """Direct-mapped write-through cache mirroring DirectMappedCache bit for bit.
 
@@ -155,9 +189,9 @@ class _FastCache:
         self.valid = [0] * lines
         self.hits = 0
         self.misses = 0
-        self.tag_fault: Optional[_ArrayFaultState] = None
-        self.data_fault: Optional[_ArrayFaultState] = None
-        self.valid_fault: Optional[_ArrayFaultState] = None
+        self.tag_fault: Optional[_ArrayHook] = None
+        self.data_fault: Optional[_ArrayHook] = None
+        self.valid_fault: Optional[_ArrayHook] = None
 
     def _lookup(self, index: int, tag: int) -> bool:
         # Same read order as the reference lookup: valid cell, then tag cell.
@@ -796,8 +830,9 @@ class Leon3FastCore:
         self._mem_snapshot: Optional[Dict[int, bytes]] = None
         self._op_cache: Dict[int, _FastOp] = {}
         self._code_pages: Dict[int, Set[int]] = {}
-        self._rf_fault: Optional[_ArrayFaultState] = None
-        self._array_states: Dict[str, _ArrayFaultState] = {}
+        self._rf_fault: Optional[_ArrayHook] = None
+        self._array_states: Dict[str, _ArrayHook] = {}
+        self._watching = False
         self._fallback = False
         self._word_faults = False
         self._word_nets_at_reset: Dict[str, int] = {}
@@ -825,6 +860,8 @@ class Leon3FastCore:
     # -- fault management ---------------------------------------------------------
 
     def inject(self, faults) -> None:
+        if self._watching:
+            raise RuntimeError("a read watch is bound: clear_faults() first")
         fault_list = list(faults)
         # The reference netlist validates sites (unknown nets, out-of-range
         # bits/cells fail loud) and keeps the canonical active-fault list.
@@ -850,7 +887,35 @@ class Leon3FastCore:
                 self._bind_array_state(site.net, state)
             state.by_cell.setdefault(site.index, []).append(fault)
 
-    def _bind_array_state(self, name: str, state: _ArrayFaultState) -> None:
+    def watch(self, cells: Iterable[FaultSite]) -> Dict[Tuple[str, int], CellReads]:
+        """Record every read of the storage cells *cells* until
+        :meth:`clear_faults`.
+
+        Returns one :class:`CellReads` per watched ``(array, cell)``, filled
+        in as the next run reads; net sites are skipped.  The watch binds
+        the fault hooks' read points, so it refuses while faults (or another
+        watch) are active; bind it after ``reload``, which resets
+        ``last_read``.
+        """
+        if self._ref.netlist.active_faults() or self._array_states:
+            raise RuntimeError("cannot watch reads while faults are active")
+        summary: Dict[Tuple[str, int], CellReads] = {}
+        for site in cells:
+            if not self.native_site(site):
+                continue
+            state = self._array_states.get(site.net)
+            if state is None:
+                state = _ArrayWatch()
+                self._array_states[site.net] = state
+                self._bind_array_state(site.net, state)
+            if site.index not in state.cells:
+                width = self._ref.netlist.array(site.net).width
+                state.cells[site.index] = CellReads.unread(width)
+                summary[(site.net, site.index)] = state.cells[site.index]
+        self._watching = bool(summary)
+        return summary
+
+    def _bind_array_state(self, name: str, state: _ArrayHook) -> None:
         if name == "rf.cells":
             self._rf_fault = state
             return
@@ -867,6 +932,7 @@ class Leon3FastCore:
         self._ref.clear_faults()
         self._rf_fault = None
         self._array_states = {}
+        self._watching = False
         self.icache.tag_fault = self.icache.data_fault = self.icache.valid_fault = None
         self.dcache.tag_fault = self.dcache.data_fault = self.dcache.valid_fault = None
         self._fallback = False

@@ -16,6 +16,11 @@ bit of one VHDL signal/port/variable:
   collapses the twins (:class:`repro.engine.backend.Leon3RtlBackend`).  On a
   **storage cell** the retained value is the array's previous read-port
   value, which other cells' reads change, so the model stays distinct.
+
+A fault on a storage cell acts only on reads of that cell; stored data never
+changes.  :class:`CellReads` summarises every read of one cell along a run,
+and :meth:`PermanentFault.inert_on` decides from it whether the fault would
+have changed any of them (the campaign engine's inert screen).
 """
 
 from __future__ import annotations
@@ -55,6 +60,31 @@ class FaultModel(enum.Enum):
 ALL_FAULT_MODELS = (FaultModel.STUCK_AT_1, FaultModel.STUCK_AT_0, FaultModel.OPEN_LINE)
 
 
+@dataclass
+class CellReads:
+    """Every read of one storage cell along a run, folded into three words.
+
+    ``ored`` and ``anded`` are the OR and the AND of the values read
+    (``anded`` starts at the array's width mask, so an unread cell has every
+    bit set); ``changed`` is the OR of ``value ^ previous`` over the reads,
+    where *previous* is the array's read-port value before the read (0 after
+    reset) — the open-line model's retained value.
+    """
+
+    ored: int
+    anded: int
+    changed: int = 0
+
+    @classmethod
+    def unread(cls, width: int) -> "CellReads":
+        return cls(ored=0, anded=(1 << width) - 1)
+
+    def record(self, value: int, previous: int) -> None:
+        self.ored |= value
+        self.anded &= value
+        self.changed |= value ^ previous
+
+
 @dataclass(frozen=True)
 class PermanentFault:
     """One permanent fault: a site (net/cell bit) plus a fault model."""
@@ -86,6 +116,20 @@ class PermanentFault:
             return new_value & ~bit_mask
         # Open line: the faulted bit keeps its previous value.
         return (new_value & ~bit_mask) | (previous_value & bit_mask)
+
+    def inert_on(self, reads: CellReads) -> bool:
+        """True when :meth:`apply` returns the driven value on every read
+        summarised by *reads* (a read of this fault's cell).
+
+        Then a run with the fault reads what the fault-free run read, so it
+        *is* the fault-free run: the fault never acts.
+        """
+        bit_mask = 1 << self.site.bit
+        if self.model is FaultModel.STUCK_AT_1:
+            return bool(reads.anded & bit_mask)
+        if self.model is FaultModel.STUCK_AT_0:
+            return not reads.ored & bit_mask
+        return not reads.changed & bit_mask
 
     def describe(self) -> str:
         return f"{self.model.label} @ {self.site.describe()}"

@@ -550,7 +550,8 @@ def _format_histogram(name: str, data: Dict[str, Any]) -> List[str]:
 def _metrics_summary(metrics: Dict[str, Any]) -> List[str]:
     """The derived headline numbers the paper workflow actually wants:
     demotion-reason breakdown, fork-rung distance distribution, cache-hit
-    ratio — computed from the raw series in a stored manifest."""
+    ratio, inert-screen share — computed from the raw series in a stored
+    manifest."""
     counters = metrics.get("counters", {})
     histograms = metrics.get("histograms", {})
     lines: List[str] = []
@@ -562,6 +563,14 @@ def _metrics_summary(metrics: Dict[str, Any]) -> List[str]:
         lines.append(
             f"  cache-hit ratio: {ratio:.1%} ({hits} memoized / "
             f"{hits + misses} planned)"
+        )
+
+    dispatched = counters.get("campaign.jobs_executed", 0)
+    if dispatched:
+        screened = counters.get("engine.jobs_screened", 0)
+        lines.append(
+            f"  inert screen: {screened} of {dispatched} jobs resolved "
+            f"from the golden"
         )
 
     golden_hits = counters.get("golden.cache.hit", 0)

@@ -1,6 +1,8 @@
 """Tests for the sparse memory model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
 from repro.iss.memory import PAGE_SHIFT, PAGE_SIZE, Memory, MemoryError_
@@ -131,3 +133,42 @@ class TestProgramLoading:
         clone.write_word(0x40, 2)
         assert memory.read_word(0x40) == 1
         assert clone.read_word(0x40) == 2
+
+
+#: Accesses land within a few bytes of a page boundary (either side), on
+#: the first, a middle and the last page of the 32-bit address space.
+_EDGE_ADDRESSES = st.builds(
+    lambda page, delta: ((page << PAGE_SHIFT) + delta) & 0xFFFFFFFF,
+    st.sampled_from([0, 1, 0x40000, 0xFFFFF]),
+    st.integers(min_value=-8, max_value=8),
+)
+_ACCESSES = st.lists(
+    st.tuples(
+        st.sampled_from(["write_word", "write_half", "read_word", "read_half"]),
+        _EDGE_ADDRESSES,
+        st.integers(min_value=0, max_value=0x1_FFFF_FFFF),
+    ),
+    max_size=40,
+)
+
+
+class TestSliceAccessMatchesBytewise:
+    """Word/half accessors against the byte-wise path they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ACCESSES)
+    def test_page_edge_equivalence(self, accesses):
+        fast, bytewise = Memory(), Memory()
+        for op, address, value in accesses:
+            size = 4 if op.endswith("word") else 2
+            address &= ~(size - 1)
+            mask = (1 << (8 * size)) - 1
+            if op.startswith("write"):
+                getattr(fast, op)(address, value)
+                bytewise.write_bytes(address, (value & mask).to_bytes(size, "big"))
+            else:
+                expected = int.from_bytes(bytewise.read_bytes(address, size), "big")
+                assert getattr(fast, op)(address) == expected
+            # Reads never allocate; writes allocate exactly the touched page.
+            assert fast.allocated_pages() == bytewise.allocated_pages()
+        assert fast._pages == bytewise._pages

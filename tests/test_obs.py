@@ -348,6 +348,7 @@ class TestCli:
         assert "run manifest" in out
         assert "campaign.jobs_executed: 6" in out
         assert "cache-hit ratio" in out
+        assert "jobs resolved from the golden" in out
 
         assert self._run(
             "campaign", "metrics", "--store", store_path, "--json"
