@@ -68,7 +68,7 @@ from repro.engine.jobs import (
 )
 from repro.engine.schedulers import (
     KNOWN_SCHEDULERS,
-    _acquire_golden,
+    _run_golden,
     make_scheduler,
 )
 from repro.engine.sharding import select_shard, shard_slice, shard_token
@@ -190,17 +190,6 @@ class CampaignConfig:
     #: Which shard of ``shards`` this run executes (0-based).  Result-
     #: transparent, like ``shards``.
     shard_index: int = 0
-    #: Golden-artifact cache (durable campaigns only): serve the golden run
-    #: — the plain reference result, or the full checkpoint ladder plus
-    #: lockstep touch timeline of a transient campaign — from the store's
-    #: ``artifacts`` table instead of re-executing it in the planner and in
-    #: every pool worker and shard, publishing the recording on first use.
-    #: Result-transparent — a cached recording is loaded only after
-    #: state-digest verification against the live engine and campaigns are
-    #: bit-identical either way (enforced by ``tests/test_artifacts.py``) —
-    #: so deliberately not part of the campaign store key.  ``False``
-    #: forces fresh golden executions and never touches the cache.
-    artifact_cache: bool = True
 
     def __post_init__(self) -> None:
         # Fail at configuration time with a clear message, not deep inside a
@@ -291,17 +280,14 @@ class CampaignEngine:
         )
         self._backend: Optional[ExecutionBackend] = None
         self._golden: Optional[RunResult] = None
-        #: Inert screen built by a golden run this process executed.
+        #: The site sample, drawn once by :meth:`select_sites`.
+        self._sites: Optional[List[FaultSite]] = None
+        #: Inert screen built by the golden run (``None`` when unwatched).
         self._screen: Optional[InertScreen] = None
         #: Planner-local checkpoint runner of a transient campaign (its
         #: ladder recording doubles as the golden run; the serial scheduler
         #: reuses it through the plan, workers build their own).
         self._runner = None
-        #: Golden-artifact cache coordinates, armed by :meth:`run` when a
-        #: file-backed store is in play and ``config.artifact_cache`` is on;
-        #: ``None`` otherwise (the cache-less fast path).
-        self._artifact_store_path: Optional[str] = None
-        self._artifact_key: Optional[str] = None
 
     @staticmethod
     def _bind_interpreter_flags(
@@ -359,15 +345,11 @@ class CampaignEngine:
         For transient campaigns on a checkpoint-capable backend the golden
         run *is* the ladder recording (bit-identical to a plain run — the
         checkpoint contract), so the campaign pays for one golden execution,
-        not two.  With the golden-artifact cache armed (:meth:`run` on a
-        file-backed store, ``config.artifact_cache``), even that execution
-        is served from the store when an earlier campaign already published
-        the recording — after state-digest verification, so a served golden
-        is bit-identical to a fresh one.
+        not two.
 
         A permanent campaign on the fast RTL core watches the sampled storage
         cells while its golden executes, and keeps the reads as the plan's
-        inert screen (a served golden builds none).
+        inert screen.
         """
         if self._golden is None:
             config = self.config
@@ -382,15 +364,8 @@ class CampaignEngine:
                 if runner is not None:
                     self._runner = runner
             with TELEMETRY.span("golden"):
-                golden = _acquire_golden(
-                    self.backend,
-                    self.program,
-                    config.max_instructions,
-                    runner,
-                    self._artifact_store_path,
-                    self._artifact_key,
-                    config.lockstep_width,
-                    watch,
+                golden = _run_golden(
+                    self.backend, config.max_instructions, runner, watch
                 )
             if watch:
                 self._screen = cast(Leon3RtlBackend, self.backend).cell_reads
@@ -424,19 +399,26 @@ class CampaignEngine:
         config seed, so every fault model — and every worker — sees the same
         population.  Transient campaigns restrict the population to storage
         cells (register file, cache arrays): an SEU is an upset of a state
-        element, and only storage sites can fork from checkpoints.
+        element, and only storage sites can fork from checkpoints.  The draw
+        happens once per engine (the golden's watch list and the plan share
+        it); each call returns a fresh list.
         """
-        universe = self.backend.sites
-        scope = self.config.scopes()
-        storage_only = self.config.transient
-        if self.config.sample_size is None:
-            return list(universe.iter_sites(scope, storage_only=storage_only))
-        return universe.sample(
-            self.config.sample_size,
-            units=scope,
-            seed=self.config.seed,
-            storage_only=storage_only,
-        )
+        if self._sites is None:
+            universe = self.backend.sites
+            scope = self.config.scopes()
+            storage_only = self.config.transient
+            if self.config.sample_size is None:
+                self._sites = list(
+                    universe.iter_sites(scope, storage_only=storage_only)
+                )
+            else:
+                self._sites = universe.sample(
+                    self.config.sample_size,
+                    units=scope,
+                    seed=self.config.seed,
+                    storage_only=storage_only,
+                )
+        return list(self._sites)
 
     def _models(
         self, fault_models: Optional[Sequence[FaultModel]]
@@ -522,38 +504,7 @@ class CampaignEngine:
             early_exit=self.config.early_exit,
             runner=self._runner,
             lockstep_width=self.config.lockstep_width,
-            artifact_store_path=self._artifact_store_path,
-            artifact_key=self._artifact_key,
             screen=self._screen,
-        )
-
-    def artifact_address(self) -> str:
-        """The content address of this campaign's golden artifact.
-
-        Derived from exactly what decides the recording's bytes: workload,
-        backend identity, instruction ceiling, rung spacing, and the artifact
-        kind — ``"ladder"`` when the golden run is a checkpoint-ladder
-        recording (transient campaign on a snapshot-capable backend),
-        ``"golden"`` for a plain reference run.  Every campaign whose golden
-        would be byte-identical shares the address; any input that changes
-        the recording changes it.
-        """
-        # Imported lazily: the store subsystem sits beside the engine.
-        from repro.store.keys import artifact_key, backend_identity
-
-        config = self.config
-        kind = (
-            "ladder"
-            if config.transient
-            and getattr(self.backend, "supports_checkpoints", False)
-            else "golden"
-        )
-        return artifact_key(
-            kind=kind,
-            program=self.program,
-            backend_id=backend_identity(self.backend.name, self.backend_factory),
-            max_instructions=config.max_instructions,
-            checkpoint_interval=config.checkpoint_interval,
         )
 
     def store_key(self) -> str:
@@ -623,7 +574,6 @@ class CampaignEngine:
 
             store = CampaignStore(self.config.store_path)
             owns_store = True
-        self._arm_artifact_cache(store)
         try:
             with TELEMETRY.span("campaign.run") as span:
                 if store is None:
@@ -635,23 +585,6 @@ class CampaignEngine:
             events = TELEMETRY.events
             if events is not None:
                 events.close()
-
-    def _arm_artifact_cache(self, store: Optional["CampaignStore"]) -> None:
-        """Point golden acquisition at *store*'s artifact cache (or away).
-
-        Armed only for file-backed stores — pool workers open their own
-        connection by path, and a ``:memory:`` store is private to the
-        connection that created it — and only with ``config.artifact_cache``
-        on; otherwise golden acquisition takes the cache-less path untouched.
-        """
-        self._artifact_store_path = None
-        self._artifact_key = None
-        if store is None or not self.config.artifact_cache:
-            return
-        if store.path == ":memory:":
-            return
-        self._artifact_store_path = store.path
-        self._artifact_key = self.artifact_address()
 
     def _setup_telemetry(self) -> None:
         """Arm the process-local registry for this run (when configured).
@@ -796,12 +729,6 @@ class CampaignEngine:
                 "transactions": len(golden.transactions),
             }
             session.record_golden(**golden_stats)
-        if self._artifact_key is not None:
-            # Reachability edge for gc: the artifact stays alive as long as
-            # this campaign row does (a no-op while the artifact is absent —
-            # e.g. unpublishable detailed-trace goldens, or a full cache hit
-            # whose original run already recorded the edge).
-            store.artifact_ref(self._artifact_key, session.key)
         results = self._make_results(
             models,
             golden_stats["instructions"],
@@ -874,8 +801,6 @@ class CampaignEngine:
                     early_exit=config.early_exit,
                     runner=self._runner,
                     lockstep_width=config.lockstep_width,
-                    artifact_store_path=self._artifact_store_path,
-                    artifact_key=self._artifact_key,
                     screen=self._screen,
                 )
                 scheduler = make_scheduler(
@@ -929,7 +854,6 @@ class CampaignEngine:
                 "transient_windows": config.transient_windows,
                 "shards": config.shards,
                 "shard_index": config.shard_index,
-                "artifact_cache": config.artifact_cache,
             },
             "metrics": TELEMETRY.snapshot(),
         }

@@ -35,16 +35,8 @@ reported):
   immediately, without simulating the remainder.
 
 Ladders live one per worker (mirroring the per-worker golden caching of the
-schedulers).  They are never pickled across the pool boundary — but they no
-longer have to be *rebuilt* per worker either: the runners round-trip
-through the store's golden-artifact cache (``to_artifact()`` /
-``from_artifact()``, serialized by :mod:`repro.store.artifacts` and keyed by
-:func:`repro.store.keys.artifact_key`), so a worker, shard, or repeated
-campaign whose (workload, backend, budget, interval) matches a stored
-recording loads the ladder instead of re-executing the golden run.  Loading
-is gated on bit-identity: every deserialized rung is restored into the live
-engine and its recomputed ``state_digest`` must equal the stored one before
-the ladder is trusted.
+schedulers): they are never pickled across the pool boundary, each worker
+records its own.
 
 Time units are backend-native: netlist cycles on the RTL backend, executed
 instruction indices on the ISS (see ``ExecutionBackend.transient_unit``).
@@ -253,58 +245,6 @@ class _CheckpointRunnerBase:
         """The golden run result (recording the ladder as a side effect)."""
         return self.ladder().golden
 
-    @property
-    def recorded(self) -> bool:
-        """Whether a ladder is already in place (recorded or loaded)."""
-        return self._ladder is not None
-
-    # -- golden-artifact round-trip -----------------------------------------------
-
-    def to_artifact(self) -> Dict[str, Any]:
-        """Serialize the golden recording for the store's artifact cache.
-
-        The payload (see :mod:`repro.store.artifacts`) carries the complete
-        ladder — rung restore payloads, state digests, cumulative counts,
-        transaction-prefix lengths — plus the golden result and, when a
-        lockstep consumer recorded one, the golden touch timeline.  Records
-        the ladder first if this runner has not run yet.
-        """
-        from repro.store.artifacts import ladder_to_payload
-
-        return ladder_to_payload(self.ladder(), timeline=self._artifact_timeline())
-
-    def from_artifact(self, payload: Dict[str, Any]) -> None:
-        """Install a deserialized golden recording instead of re-executing.
-
-        Bit-identity is asserted before the ladder is trusted: every rung's
-        payload is restored into the live engine and the recomputed
-        ``state_digest`` must equal the stored digest (the same digest
-        machinery the early-convergence exit compares against), so a stale
-        or corrupt artifact raises
-        :class:`~repro.store.artifacts.ArtifactError` rather than silently
-        skewing a campaign.
-        """
-        from repro.store.artifacts import payload_to_ladder
-
-        ladder, timeline = payload_to_ladder(payload)
-        with TELEMETRY.span("checkpoint.verify"):
-            self._verify_artifact(ladder)
-        self._ladder = ladder
-        self._rung_times = [self._rung_time(rung) for rung in ladder.checkpoints]
-        TELEMETRY.set_gauge("checkpoint.rungs", len(ladder.checkpoints))
-        self._accept_timeline(timeline)
-
-    def _artifact_timeline(self) -> Optional[Dict[Any, List[int]]]:
-        """The lockstep touch timeline to embed in artifacts (ISS only)."""
-        return None
-
-    def _accept_timeline(self, timeline: Optional[Dict[Any, List[int]]]) -> None:
-        """Adopt a timeline restored from an artifact (ISS only)."""
-
-    def _verify_artifact(self, ladder: CheckpointLadder) -> None:
-        """Restore every rung into the live engine and check its digest."""
-        raise NotImplementedError
-
     def run_transient(
         self, fault: TransientFault, budget: int, early_exit: bool = True
     ) -> RunResult:
@@ -400,10 +340,6 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
         super().__init__(backend, max_instructions, interval)
         self._emulator: Optional[FastEmulator] = None
         self._base_pages: Dict[int, bytes] = {}
-        #: Golden touch timeline donated to lockstep pack runners (loaded
-        #: from an artifact, or recorded eagerly by :meth:`record_timeline`
-        #: before publication) — see :func:`repro.engine.lockstep.make_pack_runner`.
-        self.donated_timeline: Optional[Dict[Any, List[int]]] = None
 
     def supports(self, fault: TransientFault) -> bool:
         site = fault.site
@@ -530,51 +466,10 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
     ) -> RunResult:
         return splice_golden_tail(ladder, rung, transactions, counts)
 
-    def _artifact_timeline(self) -> Optional[Dict[Any, List[int]]]:
-        return self.donated_timeline
-
-    def _accept_timeline(self, timeline: Optional[Dict[Any, List[int]]]) -> None:
-        if timeline is not None:
-            self.donated_timeline = timeline
-
-    def _verify_artifact(self, ladder: CheckpointLadder) -> None:
-        program = self._backend.program
-        if program is None:
-            raise RuntimeError("backend not prepared: call prepare(program) first")
-        emulator = FastEmulator(memory=Memory(), detailed_trace=False)
-        emulator.collect_raw_counts = True
-        emulator.load_program(program)
-        base_pages = {
-            index: bytes(page) for index, page in emulator.memory._pages.items()
-        }
-        for rung in ladder.checkpoints:
-            emulator.restore_state(rung.payload, base_pages, rung.instructions, None)
-            digest = emulator.state_digest(base_pages)
-            if digest != rung.digest:
-                from repro.store.artifacts import ArtifactError
-
-                raise ArtifactError(
-                    f"golden artifact failed bit-identity verification: rung at "
-                    f"instruction {rung.instructions} restores to digest "
-                    f"{digest[:12]}..., recorded {rung.digest[:12]}..."
-                )
-        # The verified emulator becomes the fork engine, exactly as if
-        # _record_ladder had just run it to completion.
-        self._emulator = emulator
-        self._base_pages = base_pages
-
-    def record_timeline(self, width: int) -> None:
-        """Eagerly record the lockstep touch timeline (normally lazy) so an
-        artifact published for a lockstep campaign carries it — every later
-        consumer then skips the recording pass too."""
-        if self.donated_timeline is None:
-            self.donated_timeline = self.pack_runner(width)._ensure_timeline()
-
     def pack_runner(self, width: int) -> "LockstepPackRunner":
         """The lockstep pack runtime sharing this runner's golden ladder, so
         whole packs fork from the same rungs scalar forks use (and demoted
-        replicas splice the same golden tail).  A donated touch timeline
-        (from a cached artifact) rides along."""
+        replicas splice the same golden tail)."""
         from repro.engine.lockstep import LockstepPackRunner
 
         return LockstepPackRunner(
@@ -582,7 +477,6 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
             self._max_instructions,
             width,
             ladder=self.ladder(),
-            timeline=self.donated_timeline,
         )
 
 
@@ -640,28 +534,6 @@ class RtlCheckpointRunner(_CheckpointRunnerBase):
             interval=interval, checkpoints=checkpoints, golden=golden,
             final_counts=dict(golden.trace.opcode_counts),
         )
-
-    def _verify_artifact(self, ladder: CheckpointLadder) -> None:
-        core = self._core
-        core.clear_faults()
-        core.reload()
-        golden = ladder.golden
-        for rung in ladder.checkpoints:
-            state = core.restore_state(
-                rung.payload,
-                golden.transactions[: rung.txn_count],
-                golden.transaction_cycles[: rung.txn_count],
-                rung.counts,
-            )
-            digest = core.state_digest(state)
-            if digest != rung.digest:
-                from repro.store.artifacts import ArtifactError
-
-                raise ArtifactError(
-                    f"golden artifact failed bit-identity verification: rung at "
-                    f"instruction {rung.instructions} restores to digest "
-                    f"{digest[:12]}..., recorded {rung.digest[:12]}..."
-                )
 
     def _package(self, native: Any) -> RunResult:
         return RunResult(

@@ -133,17 +133,8 @@ class CampaignPlan:
     #: the lockstep runtime of :mod:`repro.engine.lockstep` (1 = scalar).
     #: Result-transparent — pack outcomes are bit-identical to scalar runs.
     lockstep_width: int = 1
-    #: Store path of the golden-artifact cache (``None`` disables it).  Pool
-    #: workers open their own read connection here during init and load the
-    #: golden recording instead of re-executing it (publishing idempotently
-    #: on a miss) — see ``schedulers._init_worker``.
-    artifact_store_path: Optional[str] = None
-    #: Content address of this plan's golden artifact
-    #: (:func:`repro.store.keys.artifact_key`); set together with
-    #: ``artifact_store_path``.
-    artifact_key: Optional[str] = None
-    #: Inert screen of permanent plans whose golden ran (watched) in this
-    #: process; ``None`` runs every job.  Shipped to pool workers.
+    #: Inert screen built by a permanent plan's watched golden run; ``None``
+    #: runs every job.  Shipped to pool workers.
     screen: Optional[InertScreen] = None
 
     @property

@@ -412,7 +412,6 @@ class LockstepPackRunner:
         max_instructions: int,
         width: int,
         ladder: Optional[CheckpointLadder] = None,
-        timeline: Optional[Dict[_Key, List[int]]] = None,
     ) -> None:
         if width < 1:
             raise ValueError(f"lockstep width must be >= 1, got {width}")
@@ -442,10 +441,8 @@ class LockstepPackRunner:
             self._rung_times = []
         self._effects = _EffectsCache(leader.registers)
         #: Slot / pseudo-slot -> sorted executed-instruction indices where
-        #: the golden run reads or writes it.  Recorded lazily, once — or
-        #: donated up front from a cached golden artifact, in which case
-        #: the recording pass never runs in this process.
-        self._timeline: Optional[Dict[_Key, List[int]]] = timeline
+        #: the golden run reads or writes it.  Recorded lazily, once.
+        self._timeline: Optional[Dict[_Key, List[int]]] = None
         #: Golden result / final-state capture, taken from the ladder or
         #: recorded lazily by the first sweep that needs it.
         self._golden_result: Optional[RunResult] = (
@@ -1636,8 +1633,7 @@ def make_pack_runner(
     detailed-trace interpreters (no snapshot API).  *runner* — the plan's
     :class:`~repro.engine.checkpoint.IssCheckpointRunner` — donates its
     golden ladder so the pack forks from the same rungs the scalar runtime
-    uses, and its touch timeline when a cached golden artifact carried one
-    (the pack then skips the timeline recording pass entirely)."""
+    uses."""
     if width <= 1:
         return None
     if getattr(backend, "name", None) != "iss":
@@ -1645,10 +1641,6 @@ def make_pack_runner(
     if not getattr(backend, "supports_checkpoints", False):
         return None
     ladder = None
-    timeline = None
     if runner is not None and hasattr(runner, "ladder"):
         ladder = runner.ladder()
-        timeline = getattr(runner, "donated_timeline", None)
-    return LockstepPackRunner(
-        backend, max_instructions, width, ladder=ladder, timeline=timeline
-    )
+    return LockstepPackRunner(backend, max_instructions, width, ladder=ladder)

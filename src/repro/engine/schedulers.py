@@ -6,20 +6,12 @@ Two schedulers are provided:
   plan order.  Zero overhead, fully deterministic; the reference
   implementation every other scheduler must match bit-for-bit.
 * :class:`MultiprocessingScheduler` — fans chunked job batches out to a
-  :class:`multiprocessing.Pool`.  Each worker builds one backend, acquires
+  :class:`multiprocessing.Pool`.  Each worker builds one backend, runs
   the golden reference once, and then reuses both across every batch it
   receives (per-worker golden caching), so the per-injection cost approaches
   the raw simulation cost.  Ordered ``imap`` plus a final sort by job index
   makes the outcome stream identical to the serial scheduler's for the same
   plan.
-
-  "Acquires", not necessarily "runs": when the plan carries the store's
-  golden-artifact cache coordinates (``artifact_store_path`` /
-  ``artifact_key``), worker init loads the serialized golden recording —
-  result, checkpoint ladder, touch timeline — from the store after
-  state-digest verification instead of re-executing it from reset, and
-  publishes the recording idempotently on a miss (``golden.cache.hit`` /
-  ``golden.cache.miss`` telemetry counters account every path taken).
 
 Both stream :class:`OutcomeRecord`s through an optional callback as they
 finish, which the engine uses for incremental aggregation and progress
@@ -263,90 +255,21 @@ class SerialScheduler:
 _WORKER: Dict[str, object] = {}  # reprolint: worker-state
 
 
-def _acquire_golden(
+def _run_golden(
     backend: ExecutionBackend,
-    program: "Program",
     max_instructions: int,
     runner: Optional["_CheckpointRunnerBase"],
-    artifact_store_path: Optional[str],
-    artifact_key: Optional[str],
-    lockstep_width: int = 1,
     watch: Sequence[FaultSite] = (),
 ) -> RunResult:
-    """Obtain this worker's golden reference, through the artifact cache
-    when the plan carries its coordinates.
+    """Execute this process's golden reference from reset.
 
-    A plain golden that executes here watches the storage cells *watch*
-    (``Leon3RtlBackend.run(watch=...)``); a served one watches nothing.
-
-    On a hit the serialized recording is loaded (and, for ladders,
-    digest-verified against the live engine by ``from_artifact``) instead of
-    re-executed; on a miss the worker records as before and publishes the
-    recording idempotently, so whichever process gets there first fills the
-    cache for every later worker, shard, and repeated campaign.  A blob that
-    fails verification falls back to recording (the cache never serves
-    doubtful state).  Plain (non-checkpoint) golden runs whose trace is
-    detailed are not cacheable and fall through untouched.
+    With a checkpoint *runner* the ladder recording *is* the golden run (the
+    recorded result is bit-identical to a plain run — the checkpoint
+    contract); otherwise a plain golden executes, watching the storage cells
+    *watch* (``Leon3RtlBackend.run(watch=...)``).
     """
-    if artifact_store_path is None or artifact_key is None:
-        if runner is not None:
-            # The ladder recording *is* the worker's golden run (the recorded
-            # result is bit-identical to a plain run — the checkpoint contract).
-            return runner.golden()
-        return _run_golden(backend, max_instructions, watch)
-    from repro.store import CampaignStore
-    from repro.store.artifacts import (
-        ArtifactError,
-        golden_to_payload,
-        pack_artifact,
-        payload_to_golden,
-        unpack_artifact,
-    )
-
-    with CampaignStore(artifact_store_path) as store:
-        blob = store.artifact_get(artifact_key)
-        if blob is not None:
-            try:
-                payload = unpack_artifact(blob)
-                if runner is not None:
-                    runner.from_artifact(payload)
-                    golden = runner.golden()
-                else:
-                    golden = payload_to_golden(payload)
-            except ArtifactError:
-                blob = None  # unusable recording: fall through and re-record
-            else:
-                TELEMETRY.inc("golden.cache.hit")
-                return golden
-        TELEMETRY.inc("golden.cache.miss")
-        if runner is not None:
-            golden = runner.golden()
-            if lockstep_width > 1:
-                # Record the lockstep touch timeline eagerly so the published
-                # ladder carries it; cache consumers then skip the per-worker
-                # timeline derivation along with the golden run itself.
-                record = getattr(runner, "record_timeline", None)
-                if record is not None:
-                    record(lockstep_width)
-            store.artifact_put(
-                artifact_key, "ladder", program.name, backend.name,
-                pack_artifact(runner.to_artifact()),
-            )
-            return golden
-        golden = _run_golden(backend, max_instructions, watch)
-        try:
-            packed = pack_artifact(golden_to_payload(golden))
-        except ArtifactError:
-            return golden  # detailed traces cannot be cached
-        store.artifact_put(
-            artifact_key, "golden", program.name, backend.name, packed
-        )
-        return golden
-
-
-def _run_golden(
-    backend: ExecutionBackend, max_instructions: int, watch: Sequence[FaultSite]
-) -> RunResult:
+    if runner is not None:
+        return runner.golden()
     if watch:
         return cast(Leon3RtlBackend, backend).run(max_instructions, watch=watch)
     return backend.run(max_instructions=max_instructions)
@@ -362,8 +285,6 @@ def _init_worker(
     lockstep_width: int = 1,
     telemetry_enabled: bool = False,
     trace_path: Optional[str] = None,
-    artifact_store_path: Optional[str] = None,
-    artifact_key: Optional[str] = None,
     screen: Optional[InertScreen] = None,
 ) -> None:
     # Mirror the parent's telemetry state into this worker process: the
@@ -383,10 +304,7 @@ def _init_worker(
             backend, max_instructions, checkpoint_interval
         )
     with TELEMETRY.span("golden"):
-        golden = _acquire_golden(
-            backend, program, max_instructions, runner,
-            artifact_store_path, artifact_key, lockstep_width,
-        )
+        golden = _run_golden(backend, max_instructions, runner)
     if not golden.normal_exit:
         raise RuntimeError(
             f"worker golden run of {program.name!r} did not exit normally "
@@ -398,7 +316,7 @@ def _init_worker(
     _WORKER["runner"] = runner
     _WORKER["early_exit"] = early_exit
     # The planner's screen is valid here: this worker's golden is
-    # bit-identical to the planner's, whether executed or served.
+    # bit-identical to the planner's.
     _WORKER["screen"] = screen
     _WORKER["pack_runner"] = make_pack_runner(
         backend, max_instructions, lockstep_width, runner=runner
@@ -496,8 +414,7 @@ class MultiprocessingScheduler:
                 plan.backend_factory, plan.program, plan.max_instructions,
                 plan.transient, plan.checkpoint_interval, plan.early_exit,
                 plan.lockstep_width, TELEMETRY.enabled,
-                events.path if events is not None else None,
-                plan.artifact_store_path, plan.artifact_key, plan.screen,
+                events.path if events is not None else None, plan.screen,
             ),
         ) as pool:
             for batch_records, snapshot in pool.imap(_run_batch, batches):

@@ -160,7 +160,7 @@ def run_sharded_campaign(
     # import them back at module load.
     from repro.engine.backend import Leon3RtlBackend
     from repro.engine.campaign import CampaignEngine
-    from repro.store.merge import donate_artifacts, merge_stores
+    from repro.store.merge import merge_stores
 
     if backend_factory is None:
         backend_factory = Leon3RtlBackend
@@ -176,12 +176,6 @@ def run_sharded_campaign(
         shard_config = dataclasses.replace(
             config, shards=shards, shard_index=shard_index, store_path=path
         )
-        if shard_paths and shard_config.artifact_cache:
-            # Seed this shard's store with the golden recording the first
-            # shard published, so all N shards of the campaign share a
-            # single golden execution (content addressing makes the copy a
-            # no-op if this shard would derive different bytes).
-            donate_artifacts(path, shard_paths[0])
         CampaignEngine(
             program, shard_config, backend_factory=backend_factory
         ).run()

@@ -24,9 +24,6 @@ Rules (see :mod:`repro.lint.rules` and ``docs/determinism.md``):
   simulator/engine code.
 * **R006 telemetry purity** — telemetry recorder calls in keyed code paths
   are statements, never expressions feeding data flow.
-* **R007 artifact boundary** — the golden-artifact (de)serialization module
-  (``repro/store/artifacts.py``) is imported only from the strict-mypy
-  packages (``engine``, ``store``, ``obs``).
 
 Findings can be suppressed per line (``# reprolint: ignore[R001]``) or
 grandfathered in a committed baseline file; ``repro lint`` exits non-zero

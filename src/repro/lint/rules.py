@@ -1,4 +1,4 @@
-"""The reprolint domain rules (R001–R007).
+"""The reprolint domain rules (R001–R006).
 
 Each rule is a small class over the stdlib ``ast``: per-module checks yield
 :class:`~repro.lint.diagnostics.Finding`s from :meth:`Rule.check`, and
@@ -84,15 +84,6 @@ KEYED_METHODS = frozenset({"store_key", "_transient_meta", "_models"})
 
 #: Name of the result-transparency registry R002 looks for (store/keys.py).
 TRANSPARENT_REGISTRY = "RESULT_TRANSPARENT"
-
-#: The artifact (de)serialization module R007 confines to the strict tree.
-ARTIFACT_MODULE = "repro.store.artifacts"
-
-#: ``repro`` subpackages under strict mypy (mirrors the ``[mypy]`` strict
-#: file list in ``setup.cfg``/CI) — the only packages allowed to import
-#: the artifact (de)serialization paths (R007).
-STRICT_PACKAGES = frozenset({"engine", "store", "obs"})
-
 
 @dataclass
 class ModuleInfo:
@@ -678,57 +669,6 @@ class TelemetryPurityRule(Rule):
         return name == "TELEMETRY" or name.lower() in TELEMETRY_RECEIVERS
 
 
-class ArtifactBoundaryRule(Rule):
-    """R007: artifact (de)serialization stays inside the strict-mypy tree.
-
-    The golden-artifact cache round-trips live engine state — checkpoint
-    payloads, traces, lockstep timelines — through a typed JSON encoding,
-    and a type confusion on that path breaks the cached==fresh bit-identity
-    gate silently (the digests would simply never match, or worse, match on
-    subtly wrong state).  The (de)serialization module
-    ``repro.store.artifacts`` is therefore confined to the packages mypy
-    checks in strict mode (``engine``, ``store``, ``obs``): importing it
-    anywhere else would put an untyped caller on the serialization path.
-    """
-
-    rule_id = "R007"
-    title = "artifact boundary"
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_repro() or module.package in STRICT_PACKAGES:
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if self._names_artifacts(alias.name):
-                        yield self._boundary_finding(module, node)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module is None:
-                    continue
-                if self._names_artifacts(node.module):
-                    yield self._boundary_finding(module, node)
-                elif node.module == "repro.store" and any(
-                    alias.name == "artifacts" for alias in node.names
-                ):
-                    yield self._boundary_finding(module, node)
-
-    @staticmethod
-    def _names_artifacts(dotted: str) -> bool:
-        return dotted == ARTIFACT_MODULE or dotted.startswith(
-            ARTIFACT_MODULE + "."
-        )
-
-    def _boundary_finding(self, module: ModuleInfo, node: ast.AST) -> Finding:
-        where = f"repro.{module.package}" if module.package else "repro"
-        return self.finding(
-            module,
-            node,
-            f"{where} imports {ARTIFACT_MODULE}; artifact (de)serialization "
-            f"must stay inside the strict-mypy tree "
-            f"({', '.join(sorted(STRICT_PACKAGES))})",
-        )
-
-
 #: Every rule, in report order.  The engine instantiates a fresh set per
 #: run (R002 accumulates cross-module state on the instance).
 ALL_RULES: Tuple[Type[Rule], ...] = (
@@ -738,5 +678,4 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     WorkerStateRule,
     ExceptionHygieneRule,
     TelemetryPurityRule,
-    ArtifactBoundaryRule,
 )

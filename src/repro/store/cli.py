@@ -331,7 +331,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         trace_path=args.trace,
         shards=args.shards,
         shard_index=args.shard_index,
-        artifact_cache=not args.no_artifact_cache,
     )
     with _open_store(args.store) as store:
         return _run_engine(store, config, program, args.backend, args.quiet)
@@ -573,14 +572,6 @@ def _metrics_summary(metrics: Dict[str, Any]) -> List[str]:
             f"from the golden"
         )
 
-    golden_hits = counters.get("golden.cache.hit", 0)
-    golden_misses = counters.get("golden.cache.miss", 0)
-    if golden_hits or golden_misses:
-        lines.append(
-            f"  golden-artifact cache: {golden_hits} loaded, "
-            f"{golden_misses} recorded (planner + workers)"
-        )
-
     demotions: Dict[str, int] = {}
     for series, value in counters.items():
         base, labels = split_series_name(series)
@@ -684,40 +675,7 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
     scope = "all campaigns" if args.all else "unreferenced incomplete campaigns"
     print(f"removed {removed['campaigns']} {scope}, "
           f"{removed['outcomes']} outcomes, {removed['memos']} memos, "
-          f"{removed['artifacts']} unreachable artifacts")
-    return 0
-
-
-def cmd_store_artifacts_ls(args: argparse.Namespace) -> int:
-    with _open_store(args.store, must_exist=True) as store:
-        artifacts = store.list_artifacts()
-    if not artifacts:
-        print("no cached golden artifacts")
-        return 0
-    rows = [
-        (
-            info.key[:12],
-            info.kind,
-            info.workload,
-            info.backend,
-            str(info.size_bytes),
-            str(info.hit_count),
-            str(info.refs),
-        )
-        for info in artifacts
-    ]
-    print(_format_table(
-        ["key", "kind", "workload", "backend", "bytes", "hits", "refs"], rows
-    ))
-    return 0
-
-
-def cmd_store_artifacts_gc(args: argparse.Namespace) -> int:
-    with _open_store(args.store, must_exist=True) as store:
-        removed = store.artifact_gc(all_artifacts=args.all)
-    scope = "all" if args.all else "unreachable"
-    print(f"removed {removed['artifacts']} {scope} artifacts "
-          f"({removed['bytes']} bytes reclaimed)")
+          f"{removed['artifacts']} leftover artifact rows")
     return 0
 
 
@@ -812,11 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-instructions", type=int, default=400_000)
     run.add_argument("--no-resume", action="store_true",
                      help="re-execute even if outcomes are already stored")
-    run.add_argument("--no-artifact-cache", action="store_true",
-                     help="skip the golden-artifact cache: always execute "
-                          "the golden run fresh instead of loading the "
-                          "store's verified recording (results are "
-                          "bit-identical either way)")
     run.add_argument("--quiet", action="store_true", help="no progress output")
     run.add_argument("--no-telemetry", action="store_true",
                      help="disable metrics collection and the run manifest "
@@ -894,38 +847,14 @@ def build_parser() -> argparse.ArgumentParser:
     merge.set_defaults(handler=cmd_store_merge)
 
     gc = store_commands.add_parser(
-        "gc", help="delete unreferenced incomplete campaigns and vacuum "
-                   "the database (shard stores and campaigns with run "
-                   "manifests are kept)"
+        "gc", help="delete unreferenced incomplete campaigns and leftover "
+                   "artifact rows, then vacuum the database (shard stores "
+                   "and campaigns with run manifests are kept)"
     )
     gc.add_argument("--all", action="store_true",
                     help="delete every campaign and memo, not just incomplete ones")
     _add_store_option(gc)
     gc.set_defaults(handler=cmd_store_gc)
-
-    artifacts = store_commands.add_parser(
-        "artifacts", help="inspect and collect the golden-artifact cache"
-    )
-    artifact_commands = artifacts.add_subparsers(dest="artifacts_command",
-                                                 required=True)
-
-    artifacts_ls = artifact_commands.add_parser(
-        "ls", help="list cached golden artifacts (kind, size, usage, refs)"
-    )
-    _add_store_option(artifacts_ls)
-    artifacts_ls.set_defaults(handler=cmd_store_artifacts_ls)
-
-    artifacts_gc = artifact_commands.add_parser(
-        "gc", help="delete artifacts no surviving campaign references "
-                   "and vacuum the database"
-    )
-    artifacts_gc.add_argument(
-        "--all", action="store_true",
-        help="delete every cached artifact, referenced or not (the next "
-             "campaign re-records and re-publishes)"
-    )
-    _add_store_option(artifacts_gc)
-    artifacts_gc.set_defaults(handler=cmd_store_artifacts_gc)
 
     # The lint subcommand lives in repro.lint (imported lazily-ish here:
     # the lint engine is stdlib-ast only and costs nothing to import).

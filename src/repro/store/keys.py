@@ -143,15 +143,6 @@ RESULT_TRANSPARENT = frozenset(
         # byte-identical across shard coordinates.
         "shards",
         "shard_index",
-        # The golden-artifact cache replays a *recording* of the golden
-        # execution (RunResult + checkpoint ladder + touch timeline) that is
-        # bit-identical to re-executing it — enforced by state-digest
-        # verification on every load (engine/checkpoint.py from_artifact) and
-        # the cached==fresh campaign tests in tests/test_artifacts.py.
-        # Turning the cache off merely re-derives the same bytes, so the
-        # flag can never change a stored outcome.  KEY_VERSION stays at 1;
-        # artifact keys live in their own namespace (see artifact_key).
-        "artifact_cache",
     }
 )
 
@@ -300,44 +291,3 @@ def campaign_key(
 def memo_key(kind: str, payload: Dict[str, Any]) -> str:
     """Content address of a non-campaign artifact (Table 1 rows, timings)."""
     return _digest({"key_version": KEY_VERSION, "kind": kind, "payload": payload})
-
-
-def artifact_key(
-    kind: str,
-    program: Program,
-    backend_id: str,
-    max_instructions: int,
-    checkpoint_interval: Optional[int],
-) -> str:
-    """Content address of one golden artifact (64 hex chars).
-
-    Golden recordings are a pure function of the workload bytes, the backend
-    identity, and the instruction budget; checkpoint-ladder recordings
-    additionally depend on the rung spacing, so the requested
-    ``checkpoint_interval`` (``None`` selects the adaptive ladder) joins the
-    payload.  *kind* separates the artifact populations — ``"golden"`` for a
-    plain golden :class:`~repro.engine.backend.RunResult` (permanent
-    campaigns) and ``"ladder"`` for a full
-    :class:`~repro.engine.checkpoint.CheckpointLadder` recording (transient
-    campaigns) — so the two can never alias even when every other input
-    matches.
-
-    The ``"kind"`` tag also keeps artifact keys a *separate namespace* from
-    campaign keys and memo keys: a campaign payload has no ``"kind"`` field
-    and a memo payload nests its content under ``"payload"``, so no artifact
-    key can collide with either population.  ``KEY_VERSION`` stays at 1 —
-    artifacts memoize an execution the simulators already produce
-    bit-identically (the cached==fresh gate in ``tests/test_artifacts.py``),
-    and campaign payloads are byte-for-byte unchanged by this cache.
-    """
-    return _digest(
-        {
-            "key_version": KEY_VERSION,
-            "kind": f"golden-artifact/{kind}",
-            "program": program_digest(program),
-            "backend": backend_id,
-            "max_instructions": max_instructions,
-            "checkpoint_interval": checkpoint_interval,
-            "watchdog": [WATCHDOG_FACTOR, WATCHDOG_SLACK],
-        }
-    )

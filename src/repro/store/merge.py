@@ -405,85 +405,6 @@ def _merge_memos(dest: CampaignStore, source: CampaignStore) -> None:
             )
 
 
-def _copy_artifact_rows(dest: CampaignStore, source: CampaignStore) -> None:
-    """Idempotent content-addressed copy of the ``artifacts`` table.
-
-    Usage statistics (``hit_count``) restart at zero in the destination —
-    they describe local cache behaviour, not the recording."""
-    for row in source._conn.execute("SELECT * FROM artifacts ORDER BY key"):
-        with dest._conn:
-            dest._conn.execute(
-                """
-                INSERT INTO artifacts
-                    (key, kind, workload, backend, payload, size_bytes,
-                     hit_count, created_at, last_used_at)
-                VALUES (?, ?, ?, ?, ?, ?, 0, ?, ?)
-                ON CONFLICT (key) DO NOTHING
-                """,
-                (
-                    row["key"],
-                    row["kind"],
-                    row["workload"],
-                    row["backend"],
-                    row["payload"],
-                    row["size_bytes"],
-                    row["created_at"],
-                    row["last_used_at"],
-                ),
-            )
-
-
-def _merge_artifacts(dest: CampaignStore, source: CampaignStore) -> None:
-    """Fold the golden-artifact cache of *source* into *dest*.
-
-    Artifact rows are content-addressed like memos — every store that
-    derived one key serialized the same recording (bit-identity is
-    re-verified against the live engine on every load), so the fold is the
-    same idempotent ``ON CONFLICT DO NOTHING`` copy.  Reachability edges
-    come along afterwards; edges whose campaign never reaches the
-    destination are skipped (nothing would anchor them) rather than
-    violating the foreign key.
-    """
-    _copy_artifact_rows(dest, source)
-    for row in source._conn.execute(
-        "SELECT * FROM artifact_refs ORDER BY artifact_key, campaign_key"
-    ):
-        with dest._conn:
-            dest._conn.execute(
-                """
-                INSERT INTO artifact_refs (artifact_key, campaign_key, created_at)
-                SELECT ?, ?, ?
-                WHERE EXISTS (SELECT 1 FROM campaigns WHERE key = ?)
-                ON CONFLICT (artifact_key, campaign_key) DO NOTHING
-                """,
-                (
-                    row["artifact_key"],
-                    row["campaign_key"],
-                    row["created_at"],
-                    row["campaign_key"],
-                ),
-            )
-
-
-def donate_artifacts(
-    dest_path: Union[str, Path], source_path: Union[str, Path]
-) -> None:
-    """Copy the golden-artifact cache of one store into another.
-
-    The sharing primitive of sharded campaigns
-    (:func:`repro.engine.sharding.run_sharded_campaign`): seed shard *i*'s
-    store with the recording shard 0 published, so all N shards of one
-    campaign pay for a single golden execution.  Content addressing makes
-    the copy idempotent and safe in any direction; reachability edges are
-    *not* copied — each consuming campaign records its own when it runs.
-    A missing source store is a no-op (nothing to donate yet).
-    """
-    if not Path(source_path).expanduser().is_file():
-        return
-    with CampaignStore(source_path) as source, CampaignStore(dest_path) as dest:
-        _copy_artifact_rows(dest, source)
-
-
 def merge_stores(
     dest_path: Union[str, Path],
     source_paths: Sequence[Union[str, Path]],
@@ -493,9 +414,9 @@ def merge_stores(
     The destination is created if missing (the canonical store of a shard
     set usually starts empty).  Sources are folded in argument order; every
     campaign they contain is merged — outcome rows with conflict detection,
-    shard provenance with token cross-checks, golden stats, memos, golden
-    artifacts with their reachability references — and each
+    shard provenance with token cross-checks, golden stats, memos — and each
     campaign whose merged outcomes cover its full plan is marked complete.
+    Leftover rows of the unused ``artifacts`` tables are not copied.
     The latest run manifest of each source is folded into one merged
     manifest per campaign (appended only when this merge actually added
     outcome rows, so re-merging is idempotent).  Raises
@@ -542,7 +463,6 @@ def merge_stores(
                     if manifest is not None:
                         manifests_by_key.setdefault(key, []).append(manifest)
                 _merge_memos(dest, source)
-                _merge_artifacts(dest, source)
 
         campaigns: List[CampaignMergeResult] = []
         for key in key_order:

@@ -1,6 +1,6 @@
 """SQLite schema of the campaign result store.
 
-Seven tables:
+Seven tables, two of them unused:
 
 * ``campaigns`` — one row per content-addressed campaign: the plan metadata
   (workload, scope, models, seed, backend, budget), the golden-run stats, a
@@ -23,18 +23,10 @@ Seven tables:
   why ``gc`` keeps incomplete campaigns that carry shard rows.
 * ``memos`` — content-addressed JSON artifacts that are not campaigns
   (Table 1 characterisations, simulation-time comparisons).
-* ``artifacts`` — the golden-artifact cache (see
-  :mod:`repro.store.artifacts`): one row per content-addressed golden
-  recording — a serialized golden :class:`~repro.engine.backend.RunResult`,
-  or a full :class:`~repro.engine.checkpoint.CheckpointLadder` (rung
-  payloads, digests, counts, transaction prefixes) plus an optional lockstep
-  touch timeline — compressed as a BLOB.  Loading one replaces the golden
-  re-execution every worker, shard, and repeated campaign would otherwise
-  perform from reset.
-* ``artifact_refs`` — which campaigns consumed or produced which artifact;
-  the reachability edges ``gc`` walks so an artifact referenced by a
-  surviving campaign row (e.g. an incomplete shard awaiting merge) is never
-  collected from under it.
+* ``artifacts`` / ``artifact_refs`` — unused.  They held a golden-artifact
+  cache (serialized golden runs and checkpoint ladders) that was retired;
+  migrations are forward-only, so the tables stay, nothing reads them, and
+  ``gc`` deletes any leftover rows.
 
 ``counters`` holds monotonically increasing store-wide statistics
 (``jobs_executed``, ``jobs_cached``, ``campaign_hits``), which is how tests
@@ -66,15 +58,13 @@ import sqlite3
 #: in place, no existing row changes shape, and ``KEY_VERSION`` stays 1
 #: (sharding is result-transparent).
 #:
-#: Version 5 adds the ``artifacts`` and ``artifact_refs`` tables (the
-#: golden-artifact cache — see :mod:`repro.store.artifacts`).  Purely
-#: additive once more: the ``CREATE TABLE IF NOT EXISTS`` pass migrates v4
-#: databases in place, campaigns/outcomes/manifests/shards/memos rows are
-#: byte-for-byte untouched (round-tripped by the populated-migration test in
-#: ``tests/test_store_properties.py``), and ``KEY_VERSION`` stays 1 —
-#: artifact keys are a separate ``"kind"``-tagged namespace
-#: (:func:`repro.store.keys.artifact_key`) and the cache is
-#: result-transparent by construction.
+#: Version 5 adds the ``artifacts`` and ``artifact_refs`` tables, for a
+#: golden-artifact cache since retired.  Purely additive once more: the
+#: ``CREATE TABLE IF NOT EXISTS`` pass migrates v4 databases in place,
+#: campaigns/outcomes/manifests/shards/memos rows are byte-for-byte
+#: untouched (round-tripped by the populated-migration test in
+#: ``tests/test_store_properties.py``), and ``KEY_VERSION`` stays 1.  The
+#: tables are unused now; ``gc`` empties them.
 SCHEMA_VERSION = 5
 
 

@@ -16,15 +16,8 @@ methodology needs:
 The engine talks to the store through :meth:`CampaignStore.begin_campaign`,
 which returns a :class:`CampaignSession` scoped to one campaign key; the
 session exposes the stored records, chunked commits and completion marking.
-Outcome/manifest/shard rows are written only by the scheduler's parent
-process, so a single connection with SQLite's own locking is sufficient
-there.  The golden-artifact cache (:meth:`CampaignStore.artifact_get` /
-:meth:`~CampaignStore.artifact_put`, payloads in
-:mod:`repro.store.artifacts`) is additionally read — and, on a miss,
-idempotently published — by pool workers during init: publications are
-``INSERT .. ON CONFLICT DO NOTHING`` of content-addressed rows whose bytes
-are identical whoever wins the race, so concurrent writers converge on one
-row under SQLite's busy-wait locking.
+Rows are written only by the scheduler's parent process, so a single
+connection with SQLite's own locking is sufficient.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ from repro.store.schema import StoreError, apply_schema
 
 __all__ = [
     "COUNTER_NAMES",
-    "ArtifactInfo",
     "CampaignInfo",
     "CampaignSession",
     "CampaignStore",
@@ -96,23 +88,6 @@ class CampaignInfo:
         if self.total_jobs == 0:
             return 1.0
         return self.done_jobs / self.total_jobs
-
-
-@dataclass(frozen=True)
-class ArtifactInfo:
-    """One row of ``repro store artifacts ls``: a cached golden recording
-    (see :mod:`repro.store.artifacts`)."""
-
-    key: str
-    kind: str
-    workload: str
-    backend: str
-    size_bytes: int
-    hit_count: int
-    #: Campaign keys holding a reachability reference to this artifact.
-    refs: int
-    created_at: str
-    last_used_at: str
 
 
 @dataclass(frozen=True)
@@ -466,38 +441,29 @@ class CampaignStore:
                 (key, kind, json.dumps(payload, sort_keys=True), _utcnow()),
             )
 
-    # -- golden artifacts (the cache behind zero-golden warm starts) ----------------
+    # -- the unused schema-v5 artifact tables ------------------------------------
 
     def artifact_get(self, key: str) -> Optional[bytes]:
-        """The packed artifact blob under *key*, or ``None`` on a miss.
+        """The ``artifacts`` row payload under *key*, or ``None``.
 
-        Hits bump the row's usage statistics (result-transparent
-        bookkeeping, like campaign hit counts).
+        Nothing in the program reads or writes these rows any more (the
+        golden-artifact cache they held was retired; :meth:`gc` deletes
+        leftovers).  This method and :meth:`artifact_put` stay only because
+        paperbench's layer hooks resolve both by name; a benchmark change
+        can drop the hooks and the methods together.
         """
         row = self._conn.execute(
             "SELECT payload FROM artifacts WHERE key = ?", (key,)
         ).fetchone()
-        if row is None:
-            return None
-        with self._conn:
-            self._conn.execute(
-                "UPDATE artifacts SET hit_count = hit_count + 1, "
-                "last_used_at = ? WHERE key = ?",
-                (_utcnow(), key),
-            )
-        return bytes(row["payload"])
+        return None if row is None else bytes(row["payload"])
 
     def artifact_put(
         self, key: str, kind: str, workload: str, backend: str, payload: bytes
     ) -> bool:
-        """Publish a packed artifact blob under its content address.
+        """Insert an ``artifacts`` row; returns whether one was inserted.
 
-        Idempotent by design: the key derivation
-        (:func:`repro.store.keys.artifact_key`) guarantees every publisher
-        of one key serialized the same recording, so a concurrent loser's
-        ``ON CONFLICT DO NOTHING`` is a correct no-op — which is what makes
-        publication safe from pool workers.  Returns whether a row was
-        inserted.
+        Unused by the program — kept for paperbench's layer hooks only (see
+        :meth:`artifact_get`).
         """
         now = _utcnow()
         with self._conn:
@@ -513,90 +479,14 @@ class CampaignStore:
             )
         return cursor.rowcount > 0
 
-    def artifact_ref(self, artifact_key: str, campaign_key: str) -> None:
-        """Record that *campaign_key* consumed or produced *artifact_key*.
-
-        These edges are what ``gc`` walks: an artifact stays alive exactly
-        as long as a referencing campaign row does (``ON DELETE CASCADE``
-        removes the edge with either endpoint).  A no-op when either
-        endpoint row is absent — the artifact publish may have been skipped
-        (detailed traces cannot be cached), and the edge only matters once
-        both rows exist.
-        """
-        with self._conn:
-            self._conn.execute(
-                """
-                INSERT INTO artifact_refs (artifact_key, campaign_key, created_at)
-                SELECT ?, ?, ?
-                WHERE EXISTS (SELECT 1 FROM artifacts WHERE key = ?)
-                  AND EXISTS (SELECT 1 FROM campaigns WHERE key = ?)
-                ON CONFLICT (artifact_key, campaign_key) DO NOTHING
-                """,
-                (artifact_key, campaign_key, _utcnow(), artifact_key, campaign_key),
-            )
-
-    def list_artifacts(self) -> List[ArtifactInfo]:
-        """Every cached artifact, newest first (``repro store artifacts ls``)."""
-        rows = self._conn.execute(
-            """
-            SELECT a.key, a.kind, a.workload, a.backend, a.size_bytes,
-                   a.hit_count, a.created_at, a.last_used_at,
-                   (SELECT COUNT(*) FROM artifact_refs r
-                    WHERE r.artifact_key = a.key) AS refs
-            FROM artifacts a
-            ORDER BY a.created_at DESC, a.key
-            """
-        ).fetchall()
-        return [
-            ArtifactInfo(
-                key=row["key"],
-                kind=row["kind"],
-                workload=row["workload"],
-                backend=row["backend"],
-                size_bytes=row["size_bytes"],
-                hit_count=row["hit_count"],
-                refs=row["refs"],
-                created_at=row["created_at"],
-                last_used_at=row["last_used_at"],
-            )
-            for row in rows
-        ]
-
-    def artifact_gc(self, all_artifacts: bool = False) -> Dict[str, int]:
-        """Delete unreferenced artifacts (or every artifact with
-        ``all_artifacts``); see :meth:`gc` for the reachability rule.
-
-        Returns the number of artifacts removed and the bytes reclaimed.
-        The database is vacuumed afterwards.
-        """
-        with self._conn:
-            removed, reclaimed = self._sweep_artifacts(all_artifacts)
-        self._conn.execute("VACUUM")
-        return {"artifacts": removed, "bytes": reclaimed}
-
-    def _sweep_artifacts(self, all_artifacts: bool) -> Tuple[int, int]:
-        """Delete (all or unreferenced) artifact rows inside the caller's
-        transaction; returns (rows removed, payload bytes reclaimed)."""
-        where = (
-            ""
-            if all_artifacts
-            else "WHERE key NOT IN (SELECT artifact_key FROM artifact_refs)"
-        )
-        row = self._conn.execute(
-            f"SELECT COALESCE(SUM(size_bytes), 0) FROM artifacts {where}"
-        ).fetchone()
-        reclaimed = int(row[0])
-        removed = self._conn.execute(f"DELETE FROM artifacts {where}").rowcount
-        return removed, reclaimed
-
     # -- garbage collection -----------------------------------------------------------
 
     def gc(self, all_campaigns: bool = False) -> Dict[str, int]:
         """Delete incomplete campaigns (or everything with ``all_campaigns``).
 
-        Returns the number of campaigns, outcomes, memos and artifacts
-        removed.  The database is vacuumed afterwards so the space is
-        actually reclaimed.
+        Returns the number of campaigns, outcomes, memos and leftover
+        artifact rows removed.  The database is vacuumed afterwards so the
+        space is actually reclaimed.
 
         An incomplete campaign is *kept* when it is still reachable from a
         run manifest or a shard row: a shard store's campaign is incomplete
@@ -606,14 +496,8 @@ class CampaignStore:
         abandoned-run debris gc exists for — are collected.
         ``all_campaigns`` overrides the reachability protection.
 
-        Golden artifacts follow the same reachability rule, one hop out: an
-        artifact referenced (``artifact_refs``) by any *surviving* campaign
-        row — complete, incomplete-but-sharded, manifest-bearing, or simply
-        not collected this pass — survives with it; only artifacts whose
-        every referencing campaign was deleted (the ``ON DELETE CASCADE``
-        on the edge table removes the references first) or that were never
-        referenced at all are swept.  So a shard store's artifact cannot be
-        collected from under its pending merge.
+        Every row of the unused schema-v5 ``artifacts`` / ``artifact_refs``
+        tables is deleted unconditionally: nothing reads them.
         """
         where = (
             ""
@@ -637,9 +521,8 @@ class CampaignStore:
             memos = 0
             if all_campaigns:
                 memos = self._conn.execute("DELETE FROM memos").rowcount
-            # The campaign deletions above cascaded through artifact_refs;
-            # whatever lost its last reference is unreachable debris now.
-            artifacts, _ = self._sweep_artifacts(all_campaigns)
+            self._conn.execute("DELETE FROM artifact_refs")
+            artifacts = self._conn.execute("DELETE FROM artifacts").rowcount
         self._conn.execute("VACUUM")
         return {
             "campaigns": campaigns,

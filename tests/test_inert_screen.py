@@ -23,11 +23,13 @@ from repro.engine import (
     Leon3RtlBackend,
     run_sharded_campaign,
 )
+from repro.core.experiments import figure5_iu_faults, figure6_cmem_faults
 from repro.leon3.core import Leon3Core
 from repro.leon3.fastcore import Leon3FastCore, assert_rtl_results_identical
+from repro.leon3.units import CMEM_SCOPE
 from repro.obs.telemetry import TELEMETRY
 from repro.rtl.faults import ALL_FAULT_MODELS, CellReads, PermanentFault
-from repro.rtl.sites import FaultSite
+from repro.rtl.sites import FaultSite, SiteUniverse
 from repro.store import CampaignStore
 from repro.workloads.registry import all_workloads, build_program
 
@@ -40,6 +42,8 @@ ARRAYS = (
 #: and IU nets (which are never screened).
 CAMPAIGN = {"unit_scope": "iu", "sample_size": 8, "seed": 3,
             "fault_models": list(ALL_FAULT_MODELS)}
+#: Workloads of the shared-store Fig 5 / Fig 6 test.
+FIG_WORKLOADS = ("intbench", "rspeed")
 
 
 @st.composite
@@ -243,14 +247,78 @@ def test_outcomes_identical_across_schedulers_shards_and_reference(
     assert sharded == serial
 
 
-def test_artifact_served_golden_builds_no_screen(tmp_path):
+def test_sample_is_drawn_once_and_watched_cells_are_the_plans(monkeypatch):
+    """The golden's watch list and the plan share one site draw."""
+    samples = []
+    watched = []
+    sample = SiteUniverse.sample
+    run = Leon3RtlBackend.run
+
+    def counting_sample(self, *args, **kwargs):
+        samples.append(args)
+        return sample(self, *args, **kwargs)
+
+    def recording_run(self, max_instructions, faults=(), **kwargs):
+        watched.append(list(kwargs.get("watch", ())))
+        return run(self, max_instructions, faults, **kwargs)
+
+    monkeypatch.setattr(SiteUniverse, "sample", counting_sample)
+    monkeypatch.setattr(Leon3RtlBackend, "run", recording_run)
+    engine = CampaignEngine(build_program("intbench"), CampaignConfig(**CAMPAIGN))
+    plan = engine.plan()
+    assert engine.select_sites() == plan.sites
+    assert engine.select_sites() is not engine.select_sites()
+    assert len(samples) == 1
+    storage = [site for site in plan.sites if site.index is not None]
+    assert storage and len(storage) < len(plan.sites)
+    assert watched == [storage]
+
+
+def test_rerun_on_a_file_store_builds_the_same_screen(tmp_path):
+    """A ``resume=False`` rerun on the store of a cold run executes its own
+    watched golden, so it screens the same jobs with the same outcomes."""
     store_path = str(tmp_path / "campaigns.sqlite")
     first, cold, cold_counters = _outcomes(store_path=store_path)
-    assert first._screen and cold_counters["engine.jobs_screened"] > 0
-    second, warm, warm_counters = _outcomes(
+    second, rerun, rerun_counters = _outcomes(
         store_path=store_path, resume=False
     )
-    assert warm_counters["golden.cache.hit"] == 1
-    assert second._screen is None
-    assert "engine.jobs_screened" not in warm_counters
-    assert warm == cold
+    assert first._screen and second._screen
+    screened = cold_counters["engine.jobs_screened"]
+    assert screened > 0
+    assert rerun_counters["engine.jobs_screened"] == screened
+    assert rerun == cold
+
+
+def _fig6_screening(store_path):
+    """(jobs screened, outcomes) of the Fig 6 driver on *store_path*, with
+    the screened count summed over its campaigns' run manifests."""
+    results = figure6_cmem_faults(
+        workloads=FIG_WORKLOADS, sample_size=4, n_workers=2,
+        store_path=store_path,
+    )
+    with CampaignStore(store_path) as store:
+        screened = sum(
+            store.get_manifest(info.key)["metrics"]["counters"].get(
+                "engine.jobs_screened", 0
+            )
+            for info in store.list_campaigns()
+            if info.unit_scope == CMEM_SCOPE
+        )
+    outcomes = {
+        workload: {model: result.outcomes for model, result in by_model.items()}
+        for workload, by_model in results.items()
+    }
+    return screened, outcomes
+
+
+def test_fig6_after_fig5_on_one_store_screens_like_fig6_alone(tmp_path):
+    """Fig 5 first on the same file store changes nothing about Fig 6: each
+    Fig 6 campaign still watches its own golden and screens its jobs."""
+    alone = _fig6_screening(str(tmp_path / "alone.sqlite"))
+    shared = str(tmp_path / "shared.sqlite")
+    figure5_iu_faults(
+        workloads=FIG_WORKLOADS, sample_size=4, n_workers=2, store_path=shared
+    )
+    after_fig5 = _fig6_screening(shared)
+    assert alone[0] > 0
+    assert after_fig5 == alone

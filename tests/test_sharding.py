@@ -30,6 +30,7 @@ from repro.engine import (
     CampaignConfig,
     CampaignEngine,
     IssBackend,
+    Leon3RtlBackend,
     run_sharded_campaign,
     select_shard,
     shard_bounds,
@@ -408,6 +409,142 @@ class TestShardedExecution:
         assert report.campaigns[0].complete
         assert _outcomes(merged_path) == _outcomes(serial_path)
         assert _report_json(merged_path) == _report_json(serial_path)
+
+
+#: Store-backed campaigns of every shape: permanent and transient (SEU),
+#: on the ISS (the transient one through lockstep packs) and on the RTL
+#: core (the transient one through the checkpoint ladder).
+FILE_STORE_CAMPAIGNS = {
+    "perm-iss": ({"unit_scope": "arch.regfile", "sample_size": 3}, IssBackend),
+    "perm-rtl": ({"unit_scope": "iu", "sample_size": 2}, Leon3RtlBackend),
+    "seu-iss": (
+        {"unit_scope": "arch.regfile", "sample_size": 3,
+         "transient_windows": 2},
+        IssBackend,
+    ),
+    "seu-iss-lockstep": (
+        {"unit_scope": "arch.regfile", "sample_size": 3,
+         "transient_windows": 2, "lockstep_width": 4},
+        IssBackend,
+    ),
+    "seu-rtl-checkpoint": (
+        {"unit_scope": "iu", "sample_size": 2, "transient_windows": 1},
+        Leon3RtlBackend,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_STORE_CAMPAIGNS))
+def test_file_store_serial_pool_and_shards_agree(small_program, tmp_path, kind):
+    """One campaign, every golden-bearing execution strategy: store-less,
+    cold on a file store, a ``resume=False`` process-pool rerun on that
+    store, a rerun with explicit rung spacing, and a 3-shard merge all give
+    the same outcomes (and the merge the same report bytes)."""
+    params, factory = FILE_STORE_CAMPAIGNS[kind]
+    config = CampaignConfig(seed=11, **params)
+
+    def run(**overrides):
+        return CampaignEngine(
+            small_program,
+            dataclasses.replace(config, **overrides),
+            backend_factory=factory,
+        ).run()
+
+    direct = run()
+    flattened = [o for model in direct for o in direct[model].outcomes]
+    store_path = str(tmp_path / "campaigns.sqlite")
+    run(store_path=store_path)
+    key, cold = _outcomes(store_path)
+    assert cold == flattened
+    report = _report_json(store_path)
+    run(store_path=store_path, resume=False, n_workers=2, scheduler="process")
+    assert _outcomes(store_path) == (key, cold)
+    run(store_path=store_path, resume=False, checkpoint_interval=64)
+    assert _outcomes(store_path) == (key, cold)
+    merged_path = str(tmp_path / "merged.sqlite")
+    merge = run_sharded_campaign(
+        small_program, config, factory, shards=3, store_path=merged_path
+    )
+    assert merge.campaigns[0].complete
+    assert _outcomes(merged_path) == (key, cold)
+    assert _report_json(merged_path) == report
+
+
+def _seu_iss_config(**overrides):
+    """A transient (SEU) register-file campaign on the ISS."""
+    params = {
+        "unit_scope": "arch.regfile", "sample_size": 3, "seed": 11,
+        "transient_windows": 2,
+    }
+    params.update(overrides)
+    return CampaignConfig(**params)
+
+
+def _run_seu_iss(program, **overrides):
+    return CampaignEngine(
+        program, _seu_iss_config(**overrides), backend_factory=IssBackend
+    ).run()
+
+
+def test_process_pool_rerun_equals_serial_on_a_file_store(
+    small_program, tmp_path
+):
+    """Process-pool workers each execute their own golden run; the pooled
+    rerun of a transient campaign reproduces the serial run's outcomes."""
+    store_path = str(tmp_path / "c.sqlite")
+    serial = _run_seu_iss(small_program, store_path=store_path)
+    key, stored = _outcomes(store_path)
+    pooled = _run_seu_iss(
+        small_program, store_path=store_path, resume=False,
+        n_workers=2, scheduler="process",
+    )
+    assert _outcomes(store_path) == (key, stored)
+    for model in serial:
+        assert serial[model].outcomes == pooled[model].outcomes
+        assert (
+            serial[model].failure_probability
+            == pooled[model].failure_probability
+        )
+
+
+def test_rung_spacing_is_result_transparent_on_a_file_store(
+    small_program, tmp_path
+):
+    """Checkpoint-rung spacing is an execution strategy: the same campaign
+    key and the same outcomes, cold and on a ``resume=False`` rerun."""
+    base_path = str(tmp_path / "base.sqlite")
+    spaced_path = str(tmp_path / "spaced.sqlite")
+    base = _run_seu_iss(small_program, store_path=base_path)
+    spaced = _run_seu_iss(
+        small_program, store_path=spaced_path, checkpoint_interval=64
+    )
+    rerun = _run_seu_iss(
+        small_program, store_path=spaced_path, checkpoint_interval=64,
+        resume=False,
+    )
+    for results in (spaced, rerun):
+        assert results.keys() == base.keys()
+        for model in base:
+            assert base[model].outcomes == results[model].outcomes
+    assert _outcomes(base_path) == _outcomes(spaced_path)
+
+
+def test_transient_shards_merge_bit_identically(small_program, tmp_path):
+    """Three shards of a transient campaign, each with its own golden run,
+    merge into the unsharded campaign's key and report bytes."""
+    canonical = str(tmp_path / "c.sqlite")
+    unsharded = str(tmp_path / "u.sqlite")
+    config = _seu_iss_config(store_path=canonical)
+    merge = run_sharded_campaign(
+        small_program, config, IssBackend, shards=3, store_path=canonical
+    )
+    assert merge.campaigns[0].complete
+    for index in range(3):
+        with CampaignStore(shard_store_path(canonical, 3, index)) as store:
+            assert len(store.list_campaigns()) == 1
+    _run_seu_iss(small_program, store_path=unsharded)
+    assert _outcomes(canonical) == _outcomes(unsharded)
+    assert _report_json(canonical) == _report_json(unsharded)
 
 
 class TestShardedExecutionProperties:

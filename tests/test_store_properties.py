@@ -10,8 +10,9 @@ Three families, complementing ``tests/test_store.py``'s behavioural suite:
   database stamped by a *newer* schema is refused (exit 2 at the CLI).
 * **Garbage collection reachability** — ``store gc`` never collects an
   incomplete campaign that is still reachable from a run manifest or a
-  shard row, whatever combination of campaigns a store holds; and a golden
-  artifact referenced by any surviving campaign survives the sweep with it.
+  shard row, whatever combination of campaigns a store holds; and the
+  unused ``artifacts`` / ``artifact_refs`` rows an older store may hold are
+  all deleted, by gc and by never being copied through a merge.
 """
 
 import sqlite3
@@ -32,6 +33,7 @@ from repro.store import (
     StoreError,
     campaign_key,
     memo_key,
+    merge_stores,
     report_payload,
 )
 from repro.store.cli import main as cli_main
@@ -252,7 +254,7 @@ class TestSchemaMigration:
     ):
         """v4 -> v5 is purely additive: a populated v4 database (no
         ``artifacts``/``artifact_refs`` tables) opens under v5 with its
-        campaign data untouched and the artifact cache immediately usable."""
+        campaign data untouched and the two (unused) tables created."""
         path = str(tmp_path / "v4.sqlite")
         with CampaignStore(path) as store:
             session = store.begin_campaign(
@@ -287,12 +289,7 @@ class TestSchemaMigration:
             info = store.campaign_info(key)
             assert info.total_jobs == 2
             assert store.get_manifest(key) == {"manifest_version": 1}
-            assert store.list_artifacts() == []
-            assert store.artifact_put("ab" * 32, "golden", "small", "rtl", b"x")
-            store.artifact_ref("ab" * 32, key)
-            assert store.artifact_get("ab" * 32) == b"x"
-            (artifact,) = store.list_artifacts()
-            assert artifact.refs == 1
+            assert _artifact_rows(store) == (0, 0)
 
     def test_newer_schema_is_refused(self, tmp_path):
         path = str(tmp_path / "future.sqlite")
@@ -384,23 +381,16 @@ class TestGcReachability:
             max_size=5,
         )
     )
-    def test_gc_keeps_artifacts_of_surviving_campaigns(
+    def test_gc_deletes_every_leftover_artifact_row(
         self, small_program, flags
     ):
-        """A golden artifact lives exactly as long as some campaign
-        references it: ``gc()`` sweeps artifacts whose every referencing
-        campaign was collected (including incomplete-but-shard-referenced
-        ones, which survive and keep their artifact alive), and never an
-        artifact a surviving campaign still points at."""
+        """Whichever campaigns survive, ``gc()`` leaves no row in the unused
+        ``artifacts`` / ``artifact_refs`` tables, even rows referencing a
+        surviving campaign."""
         with CampaignStore(":memory:") as store:
-            expected_artifacts = set()
             for index, (complete, manifest, shard) in enumerate(flags):
                 session = self._begin(store, small_program, seed=index)
-                artifact = f"{index:02d}" * 32
-                store.artifact_put(
-                    artifact, "golden", "small", "rtl", b"payload"
-                )
-                store.artifact_ref(artifact, session.key)
+                _seed_artifact_row(store, f"{index:02d}" * 32, session.key)
                 if manifest:
                     session.put_manifest({"manifest_version": 1})
                 if shard:
@@ -413,49 +403,46 @@ class TestGcReachability:
                     )
                 if complete:
                     session.mark_complete()
-                if complete or manifest or shard:
-                    expected_artifacts.add(artifact)
-            # One orphan with no referencing campaign at all: always swept.
-            store.artifact_put("ff" * 32, "ladder", "small", "rtl", b"x")
+            _seed_artifact_row(store, "ff" * 32)
             removed = store.gc()
-            survivors = {info.key for info in store.list_artifacts()}
-            assert survivors == expected_artifacts
-            assert removed["artifacts"] == len(flags) + 1 - len(
-                expected_artifacts
-            )
-            # Collecting the campaigns cascades their refs, so a full
-            # --all pass leaves nothing for the artifact sweep to keep.
-            store.gc(all_campaigns=True)
-            assert store.list_artifacts() == []
+            assert removed["artifacts"] == len(flags) + 1
+            assert _artifact_rows(store) == (0, 0)
 
-    def test_artifact_gc_respects_refs_until_all(self, small_program):
-        with CampaignStore(":memory:") as store:
+    def test_merge_does_not_copy_artifact_rows(self, small_program, tmp_path):
+        source = str(tmp_path / "source.sqlite")
+        with CampaignStore(source) as store:
             session = self._begin(store, small_program, seed=1)
             session.mark_complete()
-            store.artifact_put("aa" * 32, "golden", "small", "rtl", b"used")
-            store.artifact_ref("aa" * 32, session.key)
-            store.artifact_put("bb" * 32, "golden", "small", "rtl", b"orphan")
-            removed = store.artifact_gc()
-            assert removed["artifacts"] == 1 and removed["bytes"] == 6
-            assert [info.key for info in store.list_artifacts()] == ["aa" * 32]
-            removed = store.artifact_gc(all_artifacts=True)
-            assert removed["artifacts"] == 1
-            assert store.list_artifacts() == []
+            _seed_artifact_row(store, "aa" * 32, session.key)
+        dest = str(tmp_path / "dest.sqlite")
+        merge_stores(dest, [source])
+        with CampaignStore(dest) as store:
+            assert len(store.list_campaigns()) == 1
+            assert _artifact_rows(store) == (0, 0)
 
-    def test_ref_to_unknown_artifact_or_campaign_is_a_noop(
-        self, small_program
-    ):
-        """Publication is best-effort (uncacheable goldens skip it), so the
-        reachability edge must be safe to record unconditionally."""
-        with CampaignStore(":memory:") as store:
-            session = self._begin(store, small_program, seed=1)
-            store.artifact_ref("cc" * 32, session.key)  # no such artifact
-            store.artifact_put("dd" * 32, "golden", "small", "rtl", b"x")
-            store.artifact_ref("dd" * 32, "ee" * 32)  # no such campaign
-            refs = store._conn.execute(
-                "SELECT COUNT(*) FROM artifact_refs"
-            ).fetchone()[0]
-            assert refs == 0
+
+def _seed_artifact_row(store, key, campaign=None):
+    """One ``artifacts`` row (plus a reference from *campaign*) written
+    through raw SQL, the way an older store could hold it."""
+    with store._conn:
+        store._conn.execute(
+            "INSERT INTO artifacts (key, kind, workload, backend, payload, "
+            "size_bytes, created_at, last_used_at) "
+            "VALUES (?, 'golden', 'small', 'rtl', x'00', 1, '', '')",
+            (key,),
+        )
+        if campaign is not None:
+            store._conn.execute(
+                "INSERT INTO artifact_refs VALUES (?, ?, '')", (key, campaign)
+            )
+
+
+def _artifact_rows(store):
+    """(rows in ``artifacts``, rows in ``artifact_refs``)."""
+    return tuple(
+        store._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        for table in ("artifacts", "artifact_refs")
+    )
 
 
 # ---------------------------------------------------------------------------
