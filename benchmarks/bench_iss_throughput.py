@@ -8,6 +8,16 @@ statistics, transaction stream, trap kind, final architectural state — a
 wrong-but-fast interpreter is worthless).  It then reports per-workload and
 aggregate instructions/second and the fast-vs-reference speedup.
 
+**Paperbench phase it moves:** ``iss.run_s`` on the ``paper_rtl`` workload
+(``python3 paperbench/run.py --workload paper_rtl --trace 1``) — the
+fault-free ISS runs behind Table 1's characterisations, the Fig 7 diversity
+axis and the Section 4.2 simulation-time comparison.  The default workload
+list is Table 1's six full-size characterisations, i.e. that phase's
+dominant calls.  Each fast run starts on a fresh emulator and pays for
+compiling its workload's blocks (the process-wide block memo holds no other
+workload's code), so the figure is a first-run one; repeated runs of the
+same program, as campaigns make, reuse the compiled blocks.
+
 Appends a dated record to the ``BENCH_iss_throughput.json`` history next to
 the repo root so CI and future optimisation PRs can track the trend:
 
@@ -90,7 +100,8 @@ def main() -> int:
     total_ref_s = 0.0
     total_fast_s = 0.0
     print(f"ISS throughput: {len(args.workloads)} workloads "
-          f"({'full-size' if full_size else 'rtl-scale'})")
+          f"({'full-size' if full_size else 'rtl-scale'}); "
+          f"paperbench phase: iss.run_s on paper_rtl")
     for name in args.workloads:
         program = build_program(name, full_size=full_size)
         ref_emu, ref, ref_s = timed_run(Emulator, program, args.max_instructions)

@@ -40,6 +40,39 @@ exactly that overhead while staying **result-transparent**:
   records need pc/cycle stamps, so accounting runs live — the decode cache
   and table dispatch still apply.
 
+* **Block path** — straight-line code runs as compiled blocks, one generated
+  Python function per (entry PC, CWP).  A block runs from its entry up to a
+  CTI plus its delay slot, at most :data:`_BLOCK_CAP` instructions; it ends
+  early before ``ticc``, an ALU op without semantics, a word that does not
+  decode, and a CTI whose delay slot is itself a CTI (or any of those).
+  Register operands are list accesses at physical indices resolved at
+  translation (``save``/``restore`` still call the register file, so window
+  overflow and underflow raise as before); the condition codes live in
+  locals and are written back at every exit; data-cache line accounting is
+  inlined; ``umul``/``smul``/``udiv``/``sdiv``/``rd``/``wr`` call their
+  handlers.  Each exit returns how many of the block's instructions ran, and
+  the run adds that prefix's mnemonic histogram once per distinct exit.
+
+  *Entry conditions:* ``run`` enters a block only when no fault is armed,
+  the trace is not detailed, no annul is pending, ``npc == pc + 4`` and the
+  whole block fits the remaining instruction budget.  Everything else —
+  faulted runs, delay slots of CTIs stepped singly, the last few
+  instructions before a budget boundary — runs on the per-instruction loop,
+  so watchdog boundaries and sliced runs stop at exactly the same
+  instruction as the reference.
+
+  *Invalidation rule:* translation fills the decode cache, so every page a
+  block covers is a code page; a store to a code page drops that page's
+  blocks along with its decodes, and a block returns right after such a
+  store (it may have rewritten itself).  ``flush_decode_cache``,
+  ``load_program`` and ``restore_state`` (for the pages it changes) drop
+  blocks the same way.
+
+  *Memo key:* compiled blocks are shared process-wide, keyed by (entry PC,
+  CWP, window count, the block's instruction words, their handlers), like
+  :func:`~repro.isa.decoder.decode_cached` — campaigns build a fresh
+  emulator per run, and the compile cost is paid once per process.
+
 The contract — enforced by ``tests/test_fastpath.py`` and re-verified by
 ``benchmarks/bench_iss_throughput.py`` before it reports any number — is
 **bit-identity with the reference interpreter**: same trace statistics, same
@@ -428,6 +461,9 @@ def _invalidate_code_page(emu, page: int) -> None:
     cache = emu._decode_cache
     for cached_pc in emu._code_pages.pop(page):
         cache.pop(cached_pc, None)
+    blocks = emu._blocks
+    for cwp, block_pc in emu._block_pages.pop(page, ()):
+        blocks[cwp].pop(block_pc, None)
 
 
 def _h_ld(emu, op, pc, transactions):
@@ -611,6 +647,402 @@ _HANDLER_TABLE: Dict[str, Callable] = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Block translation.
+#
+# A block is compiled into one Python function ``block(emu, tx) -> ran``
+# specialised for its entry PC and CWP.  Register operands are list accesses
+# at physical indices resolved here, the condition codes are the locals
+# n/z/v/c, and every exit stores pc/npc (and the pending annul, if any) and
+# returns how many of the block's instructions ran.  An instruction that
+# raises first records its pc/npc in the locals k/kn; the ``except`` clause
+# stores them, so the caller sees the same paused state as the per-instruction
+# loop and derives the count from the pc.
+# ---------------------------------------------------------------------------
+
+#: Longest block, delay slot included.
+_BLOCK_CAP = 32
+
+_MASK = "0xFFFFFFFF"
+
+_CTI_HANDLERS = frozenset({_h_branch, _h_call, _h_jmpl})
+
+#: Handlers the block body calls instead of inlining.
+_CALLED_HANDLERS = frozenset(
+    {_h_umul, _h_smul, _h_udiv, _h_sdiv, _h_rd, _h_wr}
+)
+
+#: Bicc conditions 0..7 over the flag locals; 8..15 are their complements.
+_CONDITIONS = ("False", "z", "(z or n ^ v)", "(n ^ v)", "(c or z)", "c", "n", "v")
+
+_LOADS = {
+    _h_ld: ("read_word", 4, 0),
+    _h_ldub: ("read_byte", 1, 0),
+    _h_lduh: ("read_half", 2, 0),
+    _h_ldsb: ("read_byte", 1, 0x80),
+    _h_ldsh: ("read_half", 2, 0x8000),
+}
+
+_STORES = {
+    _h_st: ("write_word", 4, ""),
+    _h_stb: ("write_byte", 1, " & 0xFF"),
+    _h_sth: ("write_half", 2, " & 0xFFFF"),
+}
+
+#: Inlined ALU results over operands ``{a}``/``{b}``, keyed by handler.
+_ALU_RESULTS = {
+    _h_add: "({a} + {b}) & " + _MASK,
+    _h_addx: "({a} + {b} + c) & " + _MASK,
+    _h_sub: "({a} - {b}) & " + _MASK,
+    _h_subx: "({a} - {b} - c) & " + _MASK,
+    _h_and: "{a} & {b}",
+    _h_andn: "{a} & ({b} ^ " + _MASK + ")",
+    _h_or: "{a} | {b}",
+    _h_orn: "{a} | ({b} ^ " + _MASK + ")",
+    _h_xor: "{a} ^ {b}",
+    _h_xnor: "({a} ^ {b}) ^ " + _MASK,
+    _h_sll: "({a} << ({b} & 31)) & " + _MASK,
+    _h_srl: "{a} >> ({b} & 31)",
+    _h_sra: "((({a} ^ 0x80000000) - 0x80000000) >> ({b} & 31)) & " + _MASK,
+}
+
+#: V and C updates of the ``cc`` ALU forms, over operands a/b and result y
+#: (N and Z are common to all of them; the logical forms clear V and C).
+_ICC_UPDATES = {
+    _h_add: "v = ((a ^ y) & (b ^ y)) >> 31; c = (a + b) >> 32",
+    _h_addx: "v = ((a ^ y) & (b ^ y)) >> 31; c = (a + b + c) >> 32",
+    _h_sub: "v = ((a ^ b) & (a ^ y)) >> 31; c = 1 if b > a else 0",
+    _h_subx: "v = ((a ^ b) & (a ^ y)) >> 31; c = 1 if b + c > a else 0",
+}
+
+#: Every handler a block may contain.  Anything else — ``ticc``, an ALU op
+#: without semantics, a patched table entry — ends the block before it.
+_BLOCK_HANDLERS = (
+    _CTI_HANDLERS | _CALLED_HANDLERS | set(_LOADS) | set(_STORES)
+    | set(_ALU_RESULTS) | {_h_sethi, _h_save, _h_restore, _h_ldd, _h_std}
+)
+
+#: The one globals dict every compiled block shares.
+_BLOCK_GLOBALS: Dict[str, object] = {
+    "CC": ConditionCodes,
+    "OCT": OffCoreTransaction,
+    "invalidate": _invalidate_code_page,
+    **{handler.__name__: handler for handler in _CALLED_HANDLERS},
+}
+
+
+class _Block:
+    """One compiled block: its function, length and per-exit histograms."""
+
+    __slots__ = ("run", "length", "mnemonics", "_histograms")
+
+    def __init__(self, run: Callable, mnemonics: Tuple[str, ...]):
+        self.run = run
+        self.length = len(mnemonics)
+        self.mnemonics = mnemonics
+        self._histograms: Dict[int, List[Tuple[str, int]]] = {}
+
+    def histogram(self, ran: int) -> List[Tuple[str, int]]:
+        """Mnemonic counts of the first *ran* instructions, in first-execution
+        order (built on the first exit at that length)."""
+        histogram = self._histograms.get(ran)
+        if histogram is None:
+            counts: Dict[str, int] = {}
+            for mnemonic in self.mnemonics[:ran]:
+                counts[mnemonic] = counts.get(mnemonic, 0) + 1
+            histogram = self._histograms[ran] = list(counts.items())
+        return histogram
+
+
+#: Process-wide memo: (pc, cwp, nwindows, words, handlers) -> compiled block.
+_BLOCK_MEMO: Dict[tuple, _Block] = {}
+
+
+def _plus4(npc: str) -> str:
+    """Source for *npc* + 4, folded when *npc* is a constant."""
+    return f"{npc} + 4" if npc == "nn" else f"{int(npc) + 4}"
+
+
+class _BlockCompiler:
+    """Generates the source of one block's function (see the section note)."""
+
+    def __init__(self, registers, ops: List[_CachedOp], pc: int):
+        self.registers = registers
+        self.cwp = registers.cwp
+        self.lines: List[str] = []
+        self.indent = "            "
+        self.constants: List[_CachedOp] = []
+        self.writes_icc = any(op.sets_icc for op in ops)
+        self.touches_icc = self.writes_icc
+        self.raises = False
+        self.uses: Set[str] = set()
+        for index, op in enumerate(ops):
+            at = pc + 4 * index
+            if op.handler in _CTI_HANDLERS:
+                self._cti(op, at, ops[index + 1] if index + 1 < len(ops) else None,
+                          index)
+                break
+            self._op(op, at, f"{at + 4}", index)
+        else:
+            end = pc + 4 * len(ops)
+            self._exit(f"{end}", f"{end + 4}", len(ops))
+
+    # -- operands ----------------------------------------------------------
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def read(self, reg: int) -> str:
+        if reg == 0:
+            return "0"
+        if reg < 8:
+            self.uses.add("g")
+            return f"g[{reg}]"
+        self.uses.add("w")
+        return f"w[{self.registers._physical_index(reg, self.cwp)}]"
+
+    def write(self, reg: int, value: str) -> None:
+        if reg:
+            self.emit(f"{self.read(reg)} = {value}")
+
+    def operand2(self, op: _CachedOp) -> str:
+        return str(op.imm_u32) if op.use_imm else self.read(op.rs2)
+
+    def address(self, op: _CachedOp) -> str:
+        """rs1 + operand2 (mod 2**32), folding a zero addend away."""
+        first, second = self.read(op.rs1), self.operand2(op)
+        if second == "0":
+            return first
+        if first == "0":
+            return second
+        return f"({first} + {second}) & {_MASK}"
+
+    def may_raise(self, at: int, npc: str) -> None:
+        self.raises = True
+        self.emit(f"k = {at}; kn = {npc}")
+
+    def _exit(self, pc: str, npc: str, ran: int, annul: bool = False) -> None:
+        if self.writes_icc:
+            self.emit("emu.icc = CC(n, z, v, c)")
+        self.emit(f"emu.pc = {pc}; emu.npc = {npc}")
+        if annul:
+            self.emit("emu._annul_next = True")
+        self.emit(f"return {ran}")
+
+    # -- instructions ------------------------------------------------------
+
+    def _cti(self, op: _CachedOp, at: int, slot: Optional[_CachedOp],
+             index: int) -> None:
+        handler = op.handler
+        if handler is _h_branch:
+            cond = op.cond
+            target = op.target
+            if op.annul and cond & 7 == 0:
+                # ba,a annuls its slot when taken, bn,a always does.
+                npc = target if cond == 8 else at + 8
+                self._exit(f"{at + 4}", f"{npc}", index + 1, annul=True)
+                return
+            if op.annul:
+                self.touches_icc = True
+                condition = _CONDITIONS[cond & 7]
+                self.emit(f"if not {condition}:" if cond & 8 else f"if {condition}:")
+                self.indent += "    "
+                self._op(slot, at + 4, f"{target}", index + 1)
+                self._exit(f"{target}", f"{target + 4}", index + 2)
+                self.indent = self.indent[:-4]
+                self._exit(f"{at + 4}", f"{at + 8}", index + 1, annul=True)
+                return
+            if cond == 8:
+                npc = f"{target}"
+            elif cond == 0:
+                npc = f"{at + 8}"
+            else:
+                self.touches_icc = True
+                condition = _CONDITIONS[cond & 7]
+                if cond & 8:
+                    condition = f"not {condition}"
+                self.emit(f"nn = {target} if {condition} else {at + 8}")
+                npc = "nn"
+        elif handler is _h_call:
+            self.write(15, f"{to_u32(at)}")
+            npc = f"{op.target}"
+        else:  # jmpl
+            self.emit(f"nn = {self.address(op)}")
+            self.write(op.rd, f"{to_u32(at)}")
+            npc = "nn"
+        self._op(slot, at + 4, npc, index + 1)
+        self._exit(npc, _plus4(npc), index + 2)
+
+    def _op(self, op: _CachedOp, at: int, npc: str, index: int) -> None:
+        handler = op.handler
+        emit = self.emit
+        if handler is _h_sethi:
+            self.write(op.rd, f"{op.value}")
+        elif handler in _ALU_RESULTS:
+            self._alu(op)
+        elif handler in _CALLED_HANDLERS:
+            if handler is _h_udiv or handler is _h_sdiv:
+                self.may_raise(at, npc)
+            name = f"O{len(self.constants)}"
+            self.constants.append(op)
+            emit(f"{handler.__name__}(emu, {name}, {at}, tx)")
+            if op.sets_icc:
+                emit("ic = emu.icc; n = ic.n; z = ic.z; v = ic.v; c = ic.c")
+        elif handler is _h_save or handler is _h_restore:
+            self.may_raise(at, npc)
+            self.uses.add("r")
+            emit(f"x = {self.address(op)}")
+            if handler is _h_save:
+                emit("r.save()")
+                self.cwp = (self.cwp + 1) % self.registers.nwindows
+            else:
+                emit("r.restore()")
+                self.cwp = (self.cwp - 1) % self.registers.nwindows
+            self.write(op.rd, "x")
+        else:
+            self._memory(op, at, npc, index)
+
+    def _alu(self, op: _CachedOp) -> None:
+        handler = op.handler
+        result = _ALU_RESULTS[handler]
+        if handler is _h_addx or handler is _h_subx:
+            self.touches_icc = True
+        first, second = self.read(op.rs1), self.operand2(op)
+        if not op.sets_icc:
+            self.write(op.rd, result.format(a=first, b=second))
+            return
+        self.emit(f"a = {first}; b = {second}; y = {result.format(a='a', b='b')}")
+        self.emit("n = y >> 31; z = 0 if y else 1; "
+                  + _ICC_UPDATES.get(handler, "v = 0; c = 0"))
+        self.write(op.rd, "y")
+
+    def _memory(self, op: _CachedOp, at: int, npc: str, index: int) -> None:
+        handler = op.handler
+        emit = self.emit
+        self.may_raise(at, npc)
+        self.uses.update(("mem", "dcache"))
+        emit(f"a = {self.address(op)}")
+        emit("l = a // ls")
+        emit("if l in tl: tm.dcache_hits += 1")
+        emit("else: tm.dcache_misses += 1; tl.add(l); "
+             "tm.cycles += tm.miss_penalty")
+        if handler in _LOADS:
+            reader, size, sign = _LOADS[handler]
+            emit(f"x = mem.{reader}(a)")
+            if sign:
+                self.write(op.rd, f"(x - {sign << 1}) & {_MASK} if x & {sign} else x")
+            else:
+                self.write(op.rd, "x")
+            emit(f"if a >= {IO_BASE}: tx.append(OCT('io', a, x, {size}))")
+            return
+        even = op.rd & ~1
+        if handler is _h_ldd:
+            emit("hi, lo = mem.read_double(a)")
+            self.write(even, "hi")
+            self.write(even | 1, "lo")
+            emit(f"if a >= {IO_BASE}: tx.append(OCT('io', a, (hi << 32) | lo, 8))")
+            return
+        if handler is _h_std:
+            emit(f"hi = {self.read(even)}; lo = {self.read(even | 1)}")
+            emit("mem.write_double(a, hi, lo)")
+            emit("tx.append(OCT('store', a, hi, 4)); "
+                 "tx.append(OCT('store', a + 4, lo, 4))")
+        else:
+            writer, size, mask = _STORES[handler]
+            emit(f"x = {self.read(op.rd)}{mask}")
+            emit(f"mem.{writer}(a, x)")
+            emit(f"tx.append(OCT('io' if a >= {IO_BASE} else 'store', a, x, {size}))")
+        # A store into a code page drops that page's decodes and blocks —
+        # possibly this one — so the block ends right after it.
+        self.uses.add("cp")
+        emit(f"if (a >> {PAGE_SHIFT}) in cp:")
+        self.indent += "    "
+        emit(f"invalidate(emu, a >> {PAGE_SHIFT})")
+        self._exit(npc, _plus4(npc), index + 1)
+        self.indent = self.indent[:-4]
+
+    # -- assembly ----------------------------------------------------------
+
+    def source(self) -> str:
+        uses = self.uses
+        prologue = []
+        if uses & {"r", "g", "w"}:
+            prologue.append("r = emu.registers")
+        if "g" in uses:
+            prologue.append("g = r._globals")
+        if "w" in uses:
+            prologue.append("w = r._windows")
+        if self.touches_icc:
+            prologue.append("ic = emu.icc; n = ic.n; z = ic.z; v = ic.v; c = ic.c")
+        if "mem" in uses:
+            prologue.append("mem = emu.memory")
+        if "dcache" in uses:
+            prologue.append("tm = emu.timing; tl = tm._touched_lines; "
+                            "ls = tm.line_size")
+        if "cp" in uses:
+            prologue.append("cp = emu._code_pages")
+        closure = ", ".join(f"O{i}" for i in range(len(self.constants)))
+        head = [f"def _make({closure}):",
+                "    def _block(emu, tx):"]
+        head += ["        " + line for line in prologue]
+        if not self.raises:
+            # Body lines are indented for the ``try`` suite; without one they
+            # move out a level.
+            body = [line[4:] for line in self.lines]
+        else:
+            body = ["        try:"] + self.lines + [
+                "        except BaseException:",
+                "            emu.pc = k; emu.npc = kn",
+                "            raise",
+            ]
+            if self.writes_icc:
+                body.insert(-2, "            emu.icc = CC(n, z, v, c)")
+        return "\n".join(head + body + ["    return _block", ""])
+
+    def build(self) -> Callable:
+        namespace: Dict[str, Callable] = {}
+        exec(compile(self.source(), "<block>", "exec"), _BLOCK_GLOBALS, namespace)
+        return namespace["_make"](*self.constants)
+
+
+#: ``FastEmulator._blocks`` lookup default for a PC not translated yet
+#: (``None`` records that no block starts there).
+_UNTRANSLATED = object()
+
+#: Exceptions an instruction raises to trap the run (see :func:`_trap_event`).
+_TRAP_ERRORS = (RegisterWindowError, MemoryError_, ZeroDivisionError, SimulationError)
+
+
+def _trap_event(exc: BaseException, pc: int) -> TrapEvent:
+    """The trap the reference interpreter takes for *exc* raised at *pc*."""
+    if isinstance(exc, ZeroDivisionError):
+        return TrapEvent("division_by_zero", pc)
+    if isinstance(exc, RegisterWindowError):
+        kind = "window"
+    elif isinstance(exc, MemoryError_):
+        kind = "memory"
+    else:
+        # An instruction without semantics (a decoder/table mismatch) must
+        # surface as a classified trap, not escape the run.
+        kind = "simulation_error"
+    return TrapEvent(kind, pc, str(exc))
+
+
+def _fold_counts(
+    counts: Dict[str, int], timing, trace: Optional[ExecutionTrace]
+) -> None:
+    """Charge deferred per-mnemonic *counts* to *timing* and, unless *trace*
+    is ``None``, record them in it; zero counts are skipped, as
+    :meth:`ExecutionTrace.record_counts` skips them."""
+    by_mnemonic = INSTRUCTION_SET.by_mnemonic
+    for mnemonic, count in counts.items():
+        if count:
+            defn = by_mnemonic(mnemonic)
+            if trace is not None:
+                trace.record_bulk(defn, count)
+            timing.account_bulk(defn, count)
+
+
 class FastEmulator(Emulator):
     """Drop-in, bit-identical, faster replacement for :class:`Emulator`.
 
@@ -640,8 +1072,18 @@ class FastEmulator(Emulator):
         self._flip_done = False
         self._decode_cache: Dict[int, _CachedOp] = {}
         self._code_pages: Dict[int, Set[int]] = {}
+        #: Per-CWP map of block entry PC -> compiled block, or ``None`` where
+        #: no block starts (the per-instruction loop runs that PC).
+        self._blocks: List[Dict[int, Optional[_Block]]] = [
+            {} for _ in range(nwindows)
+        ]
+        #: Code page -> the (cwp, pc) block entries with an instruction on it.
+        self._block_pages: Dict[int, Set[Tuple[int, int]]] = {}
         #: Decode-cache fills this emulator performed (one per distinct PC
         #: between invalidations) — observable for tests and diagnostics.
+        #: Block translation fills through the same cache, and may fill the
+        #: delay slot of a conditional annulling branch that is never taken,
+        #: so a run can count a fill for a PC it never executes.
         self.decode_fills = 0
         #: Opt-in for segment drivers (the checkpointed transient runtime):
         #: when True, ``run`` skips folding the deferred per-mnemonic counts
@@ -655,9 +1097,13 @@ class FastEmulator(Emulator):
     # -- cache management ---------------------------------------------------------
 
     def flush_decode_cache(self) -> None:
-        """Drop every cached decode (required after external memory writes)."""
+        """Drop every cached decode and block (required after external memory
+        writes)."""
         self._decode_cache.clear()
         self._code_pages.clear()
+        for blocks in self._blocks:
+            blocks.clear()
+        self._block_pages.clear()
 
     def load_program(self, program) -> None:
         self.flush_decode_cache()
@@ -675,6 +1121,61 @@ class FastEmulator(Emulator):
         self._code_pages.setdefault(pc >> PAGE_SHIFT, set()).add(pc)
         self.decode_fills += 1
         return op
+
+    def _translate(self, pc: int) -> Optional[_Block]:
+        """Find or compile the block entered at *pc* in the current window.
+
+        The block is the run of instructions from *pc* the block compiler
+        handles, up to a CTI plus its delay slot or :data:`_BLOCK_CAP`
+        instructions; ``None`` when the instruction at *pc* itself ends a
+        block.  Either answer is cached per (cwp, pc) and registered on every
+        code page the block covers, so stores there drop it.
+        """
+        cache_get = self._decode_cache.get
+        ops: List[_CachedOp] = []
+        at = pc
+        while len(ops) < _BLOCK_CAP:
+            try:
+                op = cache_get(at) or self._fill(at)
+            except (MemoryError_, DecodeError):
+                break
+            handler = op.handler
+            if handler not in _BLOCK_HANDLERS:
+                break
+            if handler in _CTI_HANDLERS:
+                if handler is _h_branch and op.annul and op.cond & 7 == 0:
+                    ops.append(op)  # ba,a / bn,a: the slot never executes
+                elif len(ops) + 2 <= _BLOCK_CAP:
+                    try:
+                        slot = cache_get(at + 4) or self._fill(at + 4)
+                    except (MemoryError_, DecodeError):
+                        break
+                    if (slot.handler in _BLOCK_HANDLERS
+                            and slot.handler not in _CTI_HANDLERS):
+                        ops += (op, slot)
+                break
+            ops.append(op)
+            at += 4
+        registers = self.registers
+        cwp = registers.cwp
+        block = None
+        if ops:
+            key = (
+                pc, cwp, registers.nwindows,
+                tuple(op.instruction.word for op in ops),
+                tuple(op.handler for op in ops),
+            )
+            block = _BLOCK_MEMO.get(key)
+            if block is None:
+                run = _BlockCompiler(registers, ops, pc).build()
+                block = _BLOCK_MEMO[key] = _Block(
+                    run, tuple(op.mnemonic for op in ops)
+                )
+        self._blocks[cwp][pc] = block
+        last = pc + 4 * max(len(ops) - 1, 0)
+        for page in range(pc >> PAGE_SHIFT, (last >> PAGE_SHIFT) + 1):
+            self._block_pages.setdefault(page, set()).add((cwp, pc))
+        return block
 
     # -- checkpoint capture / restore ---------------------------------------------
     #
@@ -806,6 +1307,13 @@ class FastEmulator(Emulator):
         registers = self.registers
         fault = self._fault
         fault_permanent = fault is not None and fault.model != "bit_flip"
+        # Blocks fold their mnemonic counts per exit and apply no fault, so
+        # they run only fault-free and without a detailed trace.
+        use_blocks = fault is None and not detailed
+        blocks = self._blocks
+        #: (block, instructions ran) -> times, folded into counts at the end.
+        exits: Dict[Tuple[_Block, int], int] = {}
+        exits_get = exits.get
 
         while executed < max_instructions:
             pc = self.pc
@@ -816,6 +1324,38 @@ class FastEmulator(Emulator):
                 self.pc = self.npc
                 self.npc += 4
                 continue
+            if use_blocks and self.npc == pc + 4:
+                block = blocks[registers.cwp].get(pc, _UNTRANSLATED)
+                if block is _UNTRANSLATED:
+                    block = self._translate(pc)
+                if block is not None:
+                    if executed + block.length <= max_instructions:
+                        error = None
+                        try:
+                            ran = block.run(self, transactions)
+                        except _TRAP_ERRORS as exc:
+                            ran = ((self.pc - pc) >> 2) + 1
+                            error = exc
+                        executed += ran
+                        key = (block, ran)
+                        seen = exits_get(key)
+                        if seen is None:
+                            exits[key] = 1
+                            # Claim the mnemonics' first-execution order now;
+                            # their counts fold in after the loop.
+                            for mnemonic, _ in block.histogram(ran):
+                                if mnemonic not in counts:
+                                    counts[mnemonic] = 0
+                        else:
+                            exits[key] = seen + 1
+                        if error is not None:
+                            trap = _trap_event(error, self.pc)
+                            halted = True
+                            break
+                        continue
+                    # The budget ends inside this block: the few remaining
+                    # instructions step one at a time.
+                    use_blocks = False
             op = cache_get(pc)
             if op is None:
                 try:
@@ -844,20 +1384,8 @@ class FastEmulator(Emulator):
                 self._fault_executed += 1
             try:
                 outcome = op.handler(self, op, pc, transactions)
-            except RegisterWindowError as exc:
-                trap = TrapEvent("window", pc, str(exc))
-                halted = True
-                break
-            except MemoryError_ as exc:
-                trap = TrapEvent("memory", pc, str(exc))
-                halted = True
-                break
-            except ZeroDivisionError:
-                trap = TrapEvent("division_by_zero", pc)
-                halted = True
-                break
-            except SimulationError as exc:
-                trap = TrapEvent("simulation_error", pc, str(exc))
+            except _TRAP_ERRORS as exc:
+                trap = _trap_event(exc, pc)
                 halted = True
                 break
             if outcome is None:
@@ -877,21 +1405,17 @@ class FastEmulator(Emulator):
         if executed >= max_instructions and not halted:
             trap = TrapEvent("watchdog", self.pc, "instruction budget exhausted")
 
+        for (block, ran), times in exits.items():
+            for mnemonic, count in block.histogram(ran):
+                counts[mnemonic] += count * times
         if self.collect_raw_counts:
+            # Latency accounting must stay complete per slice — ``cycles``
+            # below is read from the timing model.  Only the trace fold is
+            # deferred to the driver.
             self.last_counts = counts
-            if counts:
-                # Latency accounting must stay complete per slice — ``cycles``
-                # below is read from the timing model.  Only the trace fold is
-                # deferred to the driver.
-                by_mnemonic = INSTRUCTION_SET.by_mnemonic
-                for mnemonic, count in counts.items():
-                    timing.account_bulk(by_mnemonic(mnemonic), count)
-        elif counts:
-            by_mnemonic = INSTRUCTION_SET.by_mnemonic
-            for mnemonic, count in counts.items():
-                defn = by_mnemonic(mnemonic)
-                trace.record_bulk(defn, count)
-                timing.account_bulk(defn, count)
+            _fold_counts(counts, timing, None)
+        else:
+            _fold_counts(counts, timing, trace)
 
         return ExecutionResult(
             trace=trace,

@@ -448,3 +448,219 @@ class TestSelection:
                 fast[model].failure_probability
                 == reference[model].failure_probability
             )
+
+
+# ---------------------------------------------------------------------------
+# Block path: compiled straight-line blocks against the reference
+# ---------------------------------------------------------------------------
+
+BLOCK_BUDGETS = (1, 7, 100, 1001, 5003, 2_000_000)
+
+
+def _run_pair(program, max_instructions=10_000, **fast_kwargs):
+    reference_emulator = Emulator(memory=Memory())
+    reference_emulator.load_program(program)
+    reference = reference_emulator.run(max_instructions=max_instructions)
+    fast_emulator = FastEmulator(memory=Memory(), **fast_kwargs)
+    fast_emulator.load_program(program)
+    fast = fast_emulator.run(max_instructions=max_instructions)
+    fastpath.assert_results_identical(reference_emulator, reference, fast_emulator, fast)
+    # Counter equality ignores order; Table 1 and the reports iterate the
+    # histograms, so key order (first execution) must match too.
+    for field in ("opcode_counts", "category_counts", "unit_counts"):
+        assert list(getattr(fast.trace, field)) == list(
+            getattr(reference.trace, field)
+        ), field
+    return reference, fast, fast_emulator
+
+
+def _translations(emulator) -> int:
+    return sum(len(blocks) for blocks in emulator._blocks)
+
+
+def _patch_word() -> int:
+    return encoding.Format3Imm(
+        op=OP_ARITH, op3=0x02, rd=8, rs1=0, simm13=7
+    ).encode()  # or %g0, 7, %o0
+
+
+class TestBlockPath:
+    @pytest.mark.parametrize("name", sorted(all_workloads()))
+    def test_registry_across_budgets(self, name):
+        program = build_program(name, full_size=True)
+        for budget in BLOCK_BUDGETS:
+            _, fast, emulator = _run_pair(program, max_instructions=budget)
+            assert _translations(emulator)
+        assert fast.normal_exit
+
+    def test_store_rewrites_later_instruction_of_its_block(self):
+        source = f"""
+        .text
+        set     patch, %o3
+        set     {_patch_word():#010x}, %o4
+        set     out, %l1
+        st      %o4, [%o3]
+patch:
+        mov     1, %o0
+        st      %o0, [%l1]
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        _, fast, _ = _run_pair(assemble(source, name="selfmod-block"))
+        assert fast.transactions[-1].value == 7
+
+    def test_store_rewrites_its_delay_slot(self):
+        source = f"""
+        .text
+        set     patch, %o3
+        set     {_patch_word():#010x}, %o4
+        set     out, %l1
+        mov     1, %o0
+        st      %o4, [%o3]
+        ba      done
+patch:
+        mov     1, %o0
+done:
+        st      %o0, [%l1]
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        _, fast, _ = _run_pair(assemble(source, name="selfmod-slot"))
+        assert fast.transactions[-1].value == 7
+
+    @pytest.mark.parametrize("branch", ["be", "bne"])
+    def test_misaligned_load_in_delay_slot(self, branch):
+        # cmp sets Z, so `be` is taken (npc = target) and `bne` is not
+        # (npc = slot + 4); either way the slot traps with its own pc/npc.
+        source = f"""
+        .text
+        set     out, %l1
+        add     %l1, 1, %l2
+        cmp     %g0, 0
+        {branch}      target
+        ld      [%l2], %o0
+        nop
+target:
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        program = assemble(source, name="slot-trap")
+        reference, fast, emulator = _run_pair(program)
+        assert fast.trap is not None and fast.trap.kind == "memory"
+        slot = program.symbols["target"] - 8
+        assert fast.trap.pc == slot and emulator.pc == slot
+        expected_npc = program.symbols["target"] if branch == "be" else slot + 4
+        assert emulator.npc == expected_npc
+
+    def test_save_overflow_mid_block(self):
+        saves = "\n".join("        save    %sp, -96, %sp\n        add     %g1, 1, %g1"
+                          for _ in range(8))
+        _, fast, _ = _run_pair(assemble(f"        .text\n{saves}\n        ta 0\n",
+                                        name="overflow"))
+        assert fast.trap is not None and fast.trap.kind == "window"
+        assert fast.trap.detail == "register window overflow"
+
+    def test_restore_underflow_mid_block(self):
+        source = """
+        .text
+        mov     1, %o0
+        subcc   %o0, 2, %g0
+        restore %o0, 1, %o1
+        mov     2, %o0
+        ta      0
+"""
+        _, fast, _ = _run_pair(assemble(source, name="underflow"))
+        assert fast.trap is not None and fast.trap.kind == "window"
+        assert fast.trap.detail == "register window underflow"
+
+    def test_udiv_by_zero_mid_block(self):
+        # The subcc leaves N and C set; the trap must write them back.
+        source = """
+        .text
+        mov     5, %o0
+        mov     0, %o1
+        wr      %g0, %g0, %y
+        subcc   %o0, 6, %g0
+        udiv    %o0, %o1, %o2
+        mov     3, %o3
+        ta      0
+"""
+        _, fast, emulator = _run_pair(assemble(source, name="div0"))
+        assert fast.trap is not None and fast.trap.kind == "division_by_zero"
+        assert emulator.icc.n == 1 and emulator.icc.c == 1
+
+    @pytest.mark.parametrize("body", [
+        "        ba,a    target\n        mov     1, %o0\ntarget:\n",
+        "        bn,a    target\n        mov     1, %o0\ntarget:\n",
+        "        cmp     %o0, 0\n        bne,a   target\n        mov     1, %o0\n"
+        "target:\n",
+    ], ids=["ba,a", "bn,a", "untaken-bne,a"])
+    def test_annulling_branches_at_every_budget(self, body):
+        program = assemble(_cti_program(body), name="annul")
+        for budget in range(1, 12):
+            _run_pair(program, max_instructions=budget)
+
+    @pytest.mark.parametrize("slice_budget", [7, 100, 1001])
+    def test_sliced_runs_equal_one_run(self, slice_budget):
+        # The checkpoint and lockstep drivers run fast emulators in slices
+        # with collect_raw_counts; the sum of the slices is the whole run.
+        program = build_program("rspeed")
+        reference_emulator = Emulator(memory=Memory())
+        reference_emulator.load_program(program)
+        reference = reference_emulator.run()
+        emulator = FastEmulator(memory=Memory())
+        emulator.collect_raw_counts = True
+        emulator.load_program(program)
+        counts, transactions, executed = {}, [], 0
+        while True:
+            result = emulator.run(max_instructions=slice_budget)
+            assert not result.trace.opcode_counts
+            executed += result.instructions
+            transactions += result.transactions
+            for mnemonic, count in emulator.last_counts.items():
+                counts[mnemonic] = counts.get(mnemonic, 0) + count
+            if result.halted:
+                break
+        assert list(counts.items()) == list(reference.trace.opcode_counts.items())
+        assert transactions == reference.transactions
+        assert executed == reference.instructions
+        assert result.cycles == reference.cycles
+        assert fastpath._final_state(emulator) == fastpath._final_state(
+            reference_emulator
+        )
+
+    def test_blocks_are_shared_across_emulators(self):
+        program = build_program("rspeed")
+        _run_pair(program)
+        compiled = len(fastpath._BLOCK_MEMO)
+        _run_pair(program)
+        assert len(fastpath._BLOCK_MEMO) == compiled
+
+    def test_fault_armed_runs_never_enter_a_block(self):
+        fault = ArchitecturalFault(register=9, bit=3, model="stuck_at_1")
+        emulator = FastEmulator(memory=Memory(), fault=fault)
+        emulator.load_program(build_program("rspeed"))
+        emulator.run(max_instructions=5_000)
+        assert _translations(emulator) == 0
+
+    def test_detailed_trace_runs_never_enter_a_block(self):
+        emulator = FastEmulator(memory=Memory(), detailed_trace=True)
+        emulator.load_program(build_program("rspeed"))
+        emulator.run(max_instructions=5_000)
+        assert _translations(emulator) == 0
+
+    def test_zero_counts_do_not_become_opcodes(self):
+        from repro.iss.timing import TimingModel
+        from repro.iss.trace import ExecutionTrace
+
+        trace, timing = ExecutionTrace(), TimingModel()
+        fastpath._fold_counts({"add": 0, "or": 2}, timing, trace)
+        assert dict(trace.opcode_counts) == {"or": 2}
+        assert trace.diversity == 1
+        assert timing.instructions == 2
