@@ -135,8 +135,8 @@ def _dynamics_sections() -> list:
 
 def _manifest_section(path: Path) -> list:
     """Headline metrics of one stored run manifest (``repro campaign
-    metrics --json`` output): cache-hit ratio, demotion reasons, splice
-    rate — the same derivations the CLI's human view prints."""
+    metrics --json`` output): cache-hit ratio, inert-screen share, demotion
+    rate, splice rate — the same derivations the CLI's human view prints."""
     import json
 
     manifest = json.loads(path.read_text())
@@ -154,6 +154,10 @@ def _manifest_section(path: Path) -> list:
     hits = counters.get("store.cache_hits", 0)
     misses = counters.get("store.cache_misses", 0)
     lines.append(f"| cache-hit ratio | {_ratio(hits, hits + misses)} |")
+    dispatched = counters.get("campaign.jobs_executed", 0)
+    if dispatched:
+        screened = counters.get("engine.jobs_screened", 0)
+        lines.append(f"| inert-screen share | {_ratio(screened, dispatched)} |")
     replicas = counters.get("lockstep.replicas", 0)
     demotions = sum(
         value for series, value in counters.items()

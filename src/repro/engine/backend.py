@@ -312,6 +312,14 @@ class IssBackend:
     it — so the flag is result-transparent: it changes throughput only, and
     both settings share one campaign-store identity (see
     :func:`repro.store.keys.backend_identity`).
+
+    **Register watching.**  ``run(watch=sites)`` on the fast interpreter
+    folds the value each watched register holds at every instruction
+    boundary of a fault-free run into :attr:`cell_reads` — the boundaries
+    where an architectural stuck-at is applied — so the campaign engine's
+    inert screen serves ISS campaigns as it serves RTL ones.  ``%g0``
+    ignores writes and reports unread; the other registers report every
+    bit changed, so the open-line model (a ``bit_flip``) is never screened.
     """
 
     name = "iss"
@@ -329,6 +337,10 @@ class IssBackend:
         self._sites.add_array(
             ARCH_REGFILE_NET, width=32, cells=32, unit=ARCH_REGFILE_UNIT
         )
+        #: Boundary values of the registers the latest run watched, per
+        #: ``(array, register)``; ``None`` when it watched none (or ran on
+        #: the reference interpreter).
+        self.cell_reads: Optional[Dict[Tuple[str, int], CellReads]] = None
 
     def prepare(self, program: Program) -> None:
         self._program = program
@@ -364,18 +376,24 @@ class IssBackend:
         faults: Iterable[
             Union[PermanentFault, TransientFault, ArchitecturalFault]
         ] = (),
+        *,
+        watch: Sequence[FaultSite] = (),
     ) -> RunResult:
         if self._program is None:
             raise RuntimeError("backend not prepared: call prepare(program) first")
+        self.cell_reads = None
         arch_faults = [self._to_architectural(fault) for fault in faults]
         if len(arch_faults) > 1:
             raise ValueError("the ISS backend supports a single fault per run")
         if self.fast:
-            emulator: Emulator = FastEmulator(
+            fast = FastEmulator(
                 memory=Memory(),
                 detailed_trace=self.detailed_trace,
                 fault=arch_faults[0] if arch_faults else None,
             )
+            if watch:
+                self.cell_reads = self._watch(fast, watch)
+            emulator: Emulator = fast
         elif arch_faults:
             emulator = _FaultyEmulator(
                 arch_faults[0], memory=Memory(), detailed_trace=self.detailed_trace
@@ -395,6 +413,30 @@ class IssBackend:
             exit_code=native.exit_code,
             trap_kind=trap_kind,
         )
+
+    @staticmethod
+    def _watch(
+        emulator: FastEmulator, sites: Sequence[FaultSite]
+    ) -> Dict[Tuple[str, int], CellReads]:
+        """Arm *emulator*'s register watch for the register-file *sites*;
+        returns the summaries it fills in (see the class docstring)."""
+        mask = (1 << 32) - 1
+        summary: Dict[Tuple[str, int], CellReads] = {}
+        registers: Dict[int, CellReads] = {}
+        for site in sites:
+            if site.net != ARCH_REGFILE_NET or site.index is None:
+                continue
+            key = (site.net, site.index)
+            if key in summary:
+                continue
+            if site.index == 0:
+                summary[key] = CellReads.unread(32)
+            else:
+                summary[key] = registers[site.index] = CellReads(
+                    ored=0, anded=mask, changed=mask
+                )
+        emulator.watch(registers)
+        return summary
 
     @staticmethod
     def normalize_trap_kind(trap: Any) -> Optional[str]:

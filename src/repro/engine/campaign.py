@@ -41,6 +41,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
     cast,
 )
 
@@ -347,9 +348,9 @@ class CampaignEngine:
         checkpoint contract), so the campaign pays for one golden execution,
         not two.
 
-        A permanent campaign on the fast RTL core watches the sampled storage
-        cells while its golden executes, and keeps the reads as the plan's
-        inert screen.
+        A permanent campaign on the fast RTL core or the fast ISS watches the
+        sampled storage cells (registers) while its golden executes, and
+        keeps the reads as the plan's inert screen.
         """
         if self._golden is None:
             config = self.config
@@ -368,7 +369,9 @@ class CampaignEngine:
                     self.backend, config.max_instructions, runner, watch
                 )
             if watch:
-                self._screen = cast(Leon3RtlBackend, self.backend).cell_reads
+                self._screen = cast(
+                    Union[IssBackend, Leon3RtlBackend], self.backend
+                ).cell_reads
             if not golden.normal_exit:
                 raise RuntimeError(
                     f"golden run of {self.program.name!r} did not exit normally "
@@ -379,12 +382,13 @@ class CampaignEngine:
 
     def _watch_sites(self) -> List[FaultSite]:
         """The storage cells the golden run watches: the sampled cells of a
-        permanent campaign on the fast RTL core, none otherwise.  Watching
-        every cell instead of the sample doubles the golden's cost."""
+        permanent campaign on the fast RTL core or the fast ISS, none
+        otherwise.  Watching every cell instead of the sample doubles the
+        RTL golden's cost."""
         backend = self.backend
         if (
             self.config.transient
-            or not isinstance(backend, Leon3RtlBackend)
+            or not isinstance(backend, (IssBackend, Leon3RtlBackend))
             or not backend.fast
         ):
             return []

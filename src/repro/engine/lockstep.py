@@ -65,26 +65,29 @@ honour, enforced by ``tests/test_lockstep.py`` and re-verified by
 * **Event-driven front end** — the golden trajectory is fixed, so the runner
   records (once, lazily) a *touch timeline*: for every physical slot,
   pseudo-slot and accessed memory word, the sorted executed-instruction
-  indices where the golden run reads or writes it.  Between events — the
-  next fault trigger and the next
-  golden touch of any live delta slot — nothing in the pack can change, so
-  the leader fast-forwards at full scalar speed (restoring the latest golden
-  ladder rung first, which forks the whole pack from the checkpoint in one
+  indices where the golden run reads or writes it, plus a *write timeline*
+  of the register writes and window moves.  Between events — the next fault
+  trigger, the next golden touch of any live delta slot, and the boundary
+  after the next golden write of a stuck-at's slot (or window move, for a
+  window register) — nothing in the pack can change, so the leader
+  fast-forwards at full scalar speed (restoring the latest golden ladder
+  rung first, which forks the whole pack from the checkpoint in one
   restore) and the per-instruction pack bookkeeping runs *only* on the
-  instructions that can matter.  Replicas whose flip lands in ``%g0`` or in
-  a never-touched slot therefore cost almost nothing — exactly the runs
+  instructions that can matter.  Replicas whose fault lands in ``%g0`` or
+  in a never-touched slot therefore cost almost nothing — exactly the runs
   that are the scalar runtime's worst case (a dead-register flip never
-  digest-matches and runs to the golden end).  Packs carrying permanent
-  faults re-apply them before every instruction, so those step the golden
-  stream instruction by instruction instead.
+  digest-matches and runs to the golden end).  One sweep serves transient
+  and permanent replicas alike.
 
 Per-instruction fault semantics replicate :class:`FastEmulator` exactly:
 annulled delay slots are skipped before any fault bookkeeping, a ``bit_flip``
-fires once when the executed-instruction count reaches its trigger, and
-permanent (stuck-at) faults re-apply to the replica's register image before
-every executed instruction — kept sticky in the delta and re-derived under
-the current window pointer, so ``save``/``restore`` renaming behaves exactly
-like the scalar path's physical register file.
+fires once when the executed-instruction count reaches its trigger, and a
+permanent (stuck-at) fault acts as if re-applied to the replica's register
+image before every executed instruction.  It can change that image only at
+a boundary right after its slot was written or the window moved, so the
+sweep re-applies it exactly there — kept sticky in the delta and re-derived
+under the current window pointer, so ``save``/``restore`` renaming behaves
+exactly like the scalar path's physical register file.
 
 The pack runtime is ISS-only (the RTL backend falls back to the scalar
 checkpoint runtime) and plugs in beneath the campaign layer through
@@ -212,33 +215,32 @@ def _arch_effects(
     register even though both are only consulted when the condition passes —
     which can only cause an early demotion, never a missed one.  Outputs are
     **exact**: a listed slot is always written when the op executes (that
-    exactness is what makes converge-on-overwrite sound).  ``%g0`` is
-    filtered by the physical mapping (it reads as a constant and ignores
-    writes, so it can never carry a delta).
+    exactness is what makes converge-on-overwrite sound); their registers
+    are :func:`~repro.iss.fastpath._written_registers`, the set the block
+    compiler records.
+    ``%g0`` is filtered by the physical mapping (it reads as a constant and
+    ignores writes, so it can never carry a delta).
     """
     handler = op.handler
     mnemonic = op.mnemonic
     rs2 = () if op.use_imm else (op.rs2,)
+    writes = _fastpath._written_registers(op)
     if handler is _BRANCH_HANDLER:
         icc_in = () if op.cond in _UNCONDITIONAL_CONDS else ("icc",)
         return icc_in, (), None, False, None
-    if mnemonic == "call":
-        return (), (15,), None, True, None
-    if mnemonic == "sethi":
-        return (), (op.rd,), None, True, None
+    if mnemonic == "call" or mnemonic == "sethi":
+        return (), writes, None, True, None
     if mnemonic == "jmpl":
-        return (op.rs1,) + rs2, (op.rd,), None, False, None
+        return (op.rs1,) + rs2, writes, None, False, None
     if mnemonic == "ticc":
         ticc_in = rs2 + (8,)
         if op.cond not in _UNCONDITIONAL_CONDS:
             ticc_in += ("icc",)
         return ticc_in, (), None, False, None
-    if mnemonic == "save":
-        return (op.rs1,) + rs2, (op.rd,), "save", False, None
-    if mnemonic == "restore":
-        return (op.rs1,) + rs2, (op.rd,), "restore", False, None
+    if mnemonic == "save" or mnemonic == "restore":
+        return (op.rs1,) + rs2, writes, mnemonic, False, None
     if mnemonic == "rd":
-        return ("y",), (op.rd,), None, True, None
+        return ("y",), writes, None, True, None
     if mnemonic == "wr":
         return (op.rs1,) + rs2, ("y",), None, True, None
     address_regs = (op.rs1,) + rs2
@@ -249,17 +251,13 @@ def _arch_effects(
         even = op.rd & ~1
         return (address_regs + (even, even | 1), (), None, False,
                 (address_regs, (even, even | 1), True, True))
-    if mnemonic == "ldd":
-        even = op.rd & ~1
-        return (address_regs, (even, even | 1), None, False,
-                (address_regs, (), False, True))
-    if mnemonic in _PLAIN_LOADS:
-        return (address_regs, (op.rd,), None, False,
-                (address_regs, (), False, False))
+    if mnemonic == "ldd" or mnemonic in _PLAIN_LOADS:
+        return (address_regs, writes, None, False,
+                (address_regs, (), False, mnemonic == "ldd"))
     # Every remaining opcode dispatches through the ALU table (unimplemented
     # ALU semantics trap in the handler, which a golden replay never reaches).
     inputs: Tuple[_Key, ...] = (op.rs1,) + rs2
-    outputs: Tuple[_Key, ...] = (op.rd,)
+    outputs: Tuple[_Key, ...] = writes
     if handler in _ICC_READERS:
         inputs += ("icc",)
     if handler in _Y_READERS:
@@ -304,7 +302,7 @@ class _EffectsCache:
     def get(
         self, op: Any, cwp: int
     ) -> Tuple[Tuple[_Key, ...], Tuple[_Key, ...], bool, Optional[_MemInfo],
-               Tuple[_Key, ...]]:
+               Tuple[_Key, ...], Tuple[_Key, ...]]:
         entry = self._by_op.get(id(op))
         if entry is None:
             entry = (op, [None] * self._nwindows)
@@ -338,6 +336,10 @@ class _EffectsCache:
                 input_slots + tuple(
                     slot for slot in output_slots if slot not in input_slots
                 ),
+                # The register slots written, plus ``"cwp"`` for a window
+                # move: the write timeline's marks.
+                tuple(slot for slot in output_slots if type(slot) is int)
+                + (("cwp",) if window_shift is not None else ()),
             )
             entry[1][cwp] = effects
         return effects
@@ -443,6 +445,10 @@ class LockstepPackRunner:
         #: Slot / pseudo-slot -> sorted executed-instruction indices where
         #: the golden run reads or writes it.  Recorded lazily, once.
         self._timeline: Optional[Dict[_Key, List[int]]] = None
+        #: Register slot -> the indices where the golden run writes it, and
+        #: ``"cwp"`` -> the indices of its window moves: the instructions
+        #: after which a stuck-at can act.  Recorded with the timeline.
+        self._write_timeline: Dict[_Key, List[int]] = {}
         #: Golden result / final-state capture, taken from the ladder or
         #: recorded lazily by the first sweep that needs it.
         self._golden_result: Optional[RunResult] = (
@@ -538,25 +544,42 @@ class LockstepPackRunner:
         registers = self._leader.registers
         return NUM_GLOBALS + registers._physical_index(register, registers.cwp)
 
-    def _apply_flip(self, replica: _Replica) -> None:
-        """The pack equivalent of the scalar flip
+    def _apply_fault(
+        self, replica: _Replica, live_slots: Dict[_Key, List[_Replica]]
+    ) -> Optional[int]:
+        """The pack equivalent of the scalar
         ``registers.write(reg, fault.apply(registers.read(reg)))`` that runs
-        between the instruction count and the handler."""
-        slot = self._fault_slot(replica.fault)
+        between the instruction count and the handler: a flip at its
+        trigger, a stuck-at wherever it can act.  Keeps *live_slots* in step
+        with the replica's delta; returns the fault's slot (``None`` for
+        ``%g0``, which ignores writes)."""
+        fault = replica.fault
+        slot = self._fault_slot(fault)
         if slot is None:
-            return
+            return None
         leader_value = self._leader_slot_value(slot)
-        faulted = replica.fault.apply(replica.delta.get(slot, leader_value))
+        delta = replica.delta
+        faulted = fault.apply(delta.get(slot, leader_value))
         if faulted == leader_value:
-            replica.delta.pop(slot, None)
+            if slot in delta:
+                del delta[slot]
+                bucket = live_slots[slot]
+                bucket.remove(replica)
+                if not bucket:
+                    del live_slots[slot]
+        elif slot not in delta:
+            delta[slot] = faulted
+            live_slots.setdefault(slot, []).append(replica)
         else:
-            replica.delta[slot] = faulted
+            delta[slot] = faulted
+        return slot
 
     # -- the golden touch timeline ------------------------------------------------
 
     def _ensure_timeline(self) -> Dict[_Key, List[int]]:
         """Record, once, the executed-instruction indices at which the golden
-        run touches (reads or writes) each physical slot and pseudo-slot.
+        run touches (reads or writes) each physical slot and pseudo-slot,
+        and the write timeline beside it.
 
         The recording pass steps the golden stream on the demotion emulator
         (which is restored before every other use, so the mutation is free)
@@ -572,6 +595,7 @@ class LockstepPackRunner:
         effects = self._effects
         timeline: Dict[_Key, List[int]] = {}
         timeline_get = timeline.get
+        writes: Dict[_Key, List[int]] = {}
         scratch: List[Any] = []
         executed = 0
         budget = self._max_instructions
@@ -588,13 +612,17 @@ class LockstepPackRunner:
                     op = emulator._fill(pc)
                 except (MemoryError_, DecodeError):
                     break
-            _, _, _, memory, touches = effects.get(op, emulator.registers.cwp)
+            _, _, _, memory, touches, written = effects.get(
+                op, emulator.registers.cwp
+            )
             for key in touches:
                 lst = timeline_get(key)
                 if lst is None:
                     timeline[key] = [executed]
                 else:
                     lst.append(executed)
+            for key in written:
+                writes.setdefault(key, []).append(executed)
             if memory is not None:
                 # The accessed words count as touches too: a load from a
                 # replica's dirty word must propagate, a store over one must
@@ -630,6 +658,7 @@ class LockstepPackRunner:
             else:
                 break  # the golden exit trap
         self._timeline = timeline
+        self._write_timeline = writes
         return timeline
 
     # -- packaging ----------------------------------------------------------------
@@ -1056,106 +1085,88 @@ class LockstepPackRunner:
         halted_flag = False
         exit_code: Optional[int] = None
 
-        if sticky:
-            # A stuck-at fault re-touches its slot before every instruction,
-            # so packs carrying one step the golden stream instruction by
-            # instruction — the touch timeline cannot skip anything for them.
-            while True:
-                if sticky or live_slots or (
-                    pending and pending[-1].fault.trigger_index <= self._executed
+        # Event-driven sweep: the only instructions that can change the pack
+        # are fault triggers and golden touches of live delta slots, and a
+        # stuck-at acts only at the boundary after a golden write of its
+        # slot or, on a window register, after a window move (``due`` below);
+        # everything in between fast-forwards at full scalar speed.
+        timeline = self._ensure_timeline()
+        writes = self._write_timeline
+        moves = writes.get("cwp", [])
+        #: Stuck-at replica -> the next boundary at which its fault may act.
+        due = {replica: 0 for replica in sticky}
+        while True:
+            if self._executed >= self._max_instructions:
+                break  # golden budget exhausted: the watchdog case
+            executed = self._executed
+            next_event: Optional[int] = None
+            if pending:
+                next_event = pending[-1].fault.trigger_index
+            for replica in sticky:
+                boundary = due[replica]
+                if boundary <= executed:
+                    slot = self._apply_fault(replica, live_slots)
+                    boundary = self._max_instructions
+                    if slot is not None:
+                        for indices in (
+                            writes.get(slot, ()),
+                            moves if replica.fault.register >= 8 else (),
+                        ):
+                            position = bisect_left(indices, executed)
+                            if position < len(indices):
+                                boundary = min(boundary, indices[position] + 1)
+                    due[replica] = boundary
+                if boundary < self._max_instructions and (
+                    next_event is None or boundary < next_event
                 ):
-                    if self._executed >= self._max_instructions:
-                        break  # golden budget exhausted: the watchdog case
-                    trap = self._step_pack(
-                        pending, sticky, live_slots, budget, early_exit,
-                        capture_final_state,
-                    )
-                    if trap is not None:
-                        halt_trap = trap
-                        halted_flag = True
-                        if trap.is_exit:
-                            exit_code = int(trap.detail) if trap.detail else 0
-                        break
+                    next_event = boundary
+            for key in live_slots:
+                indices = timeline.get(key)
+                if not indices:
                     continue
-                if pending:
-                    result = self._fast_forward(pending[-1].fault.trigger_index)
-                elif self._golden_result is None and any(
-                    replica.outcome is None
-                    or replica.outcome.result is None
-                    for replica in replicas
+                position = bisect_left(indices, executed)
+                if position < len(indices) and (
+                    next_event is None or indices[position] < next_event
                 ):
-                    # Ladder-less mode still owes the golden observables: run
-                    # the leader out so riders and converged replicas resolve.
+                    next_event = indices[position]
+            if next_event is None:
+                # Nothing left can touch the pack.  Riders still need the
+                # leader at the golden end when their final state is
+                # requested, and ladder-less mode still owes the golden
+                # observables.
+                if (live_slots and capture_final_state) or (
+                    self._golden_result is None and any(
+                        replica.outcome is None
+                        or replica.outcome.result is None
+                        for replica in replicas
+                    )
+                ):
                     result = self._fast_forward(self._max_instructions)
-                else:
-                    break
+                    if result is not None:
+                        halt_trap = result.trap
+                        halted_flag = result.halted
+                        exit_code = result.exit_code
+                break
+            if next_event > executed:
+                result = self._fast_forward(
+                    min(next_event, self._max_instructions)
+                )
                 if result is not None:
                     halt_trap = result.trap
                     halted_flag = result.halted
                     exit_code = result.exit_code
                     break
-                if not pending and not sticky and not live_slots:
-                    break
-        else:
-            # Event-driven sweep: the only instructions that can change the
-            # pack are fault triggers and golden touches of live delta slots;
-            # everything in between fast-forwards at full scalar speed.
-            timeline = self._ensure_timeline()
-            while True:
-                if self._executed >= self._max_instructions:
-                    break  # golden budget exhausted: the watchdog case
-                next_event: Optional[int] = None
-                if pending:
-                    next_event = pending[-1].fault.trigger_index
-                if live_slots:
-                    executed = self._executed
-                    for key in live_slots:
-                        indices = timeline.get(key)
-                        if not indices:
-                            continue
-                        position = bisect_left(indices, executed)
-                        if position < len(indices) and (
-                            next_event is None or indices[position] < next_event
-                        ):
-                            next_event = indices[position]
-                if next_event is None:
-                    # Nothing left can touch the pack.  Riders still need the
-                    # leader at the golden end when their final state is
-                    # requested, and ladder-less mode still owes the golden
-                    # observables.
-                    if (live_slots and capture_final_state) or (
-                        self._golden_result is None and any(
-                            replica.outcome is None
-                            or replica.outcome.result is None
-                            for replica in replicas
-                        )
-                    ):
-                        result = self._fast_forward(self._max_instructions)
-                        if result is not None:
-                            halt_trap = result.trap
-                            halted_flag = result.halted
-                            exit_code = result.exit_code
-                    break
-                if next_event > self._executed:
-                    result = self._fast_forward(
-                        min(next_event, self._max_instructions)
-                    )
-                    if result is not None:
-                        halt_trap = result.trap
-                        halted_flag = result.halted
-                        exit_code = result.exit_code
-                        break
-                    continue
-                trap = self._step_pack(
-                    pending, sticky, live_slots, budget, early_exit,
-                    capture_final_state,
-                )
-                if trap is not None:
-                    halt_trap = trap
-                    halted_flag = True
-                    if trap.is_exit:
-                        exit_code = int(trap.detail) if trap.detail else 0
-                    break
+                continue
+            trap = self._step_pack(
+                pending, sticky, live_slots, budget, early_exit,
+                capture_final_state,
+            )
+            if trap is not None:
+                halt_trap = trap
+                halted_flag = True
+                if trap.is_exit:
+                    exit_code = int(trap.detail) if trap.detail else 0
+                break
 
         # Leader finished (golden halt, budget, or nothing left to watch):
         # package the golden result and resolve everything still riding.
@@ -1285,43 +1296,21 @@ class LockstepPackRunner:
         executed = self._executed
         # 1. Fault effects (scalar order: after the annul skip, before the
         #    handler).  Flips fire when the executed count reaches their
-        #    trigger; sticky faults re-apply every instruction.
+        #    trigger; the sweep has already re-applied the stuck-at faults
+        #    at this boundary.
         while pending and pending[-1].fault.trigger_index <= executed:
             replica = pending.pop()
-            self._apply_flip(replica)
-            if replica.delta:
-                for slot in replica.delta:
-                    live_slots.setdefault(slot, []).append(replica)
-            else:
+            self._apply_fault(replica, live_slots)
+            if not replica.delta:
                 # e.g. a %g0 flip: architecturally invisible, instantly golden.
                 replica.outcome = PackOutcome(self._golden_result, "golden", None)
                 self.in_pack_convergences += 1
-        for replica in sticky:
-            fault = replica.fault
-            slot = self._fault_slot(fault)
-            if slot is None:
-                continue
-            leader_value = self._leader_slot_value(slot)
-            delta = replica.delta
-            faulted = fault.apply(delta.get(slot, leader_value))
-            if faulted == leader_value:
-                if slot in delta:
-                    del delta[slot]
-                    bucket = live_slots[slot]
-                    bucket.remove(replica)
-                    if not bucket:
-                        del live_slots[slot]
-            elif slot not in delta:
-                delta[slot] = faulted
-                live_slots.setdefault(slot, []).append(replica)
-            else:
-                delta[slot] = faulted
         # 2. Apply the op across the pack: replicas whose delta intersects
         #    the input set either propagate (divergent results folded into
         #    their deltas through the shared front end) or demote (the op
         #    could diverge control flow, trap, or fork the shared state in a
         #    way the deltas cannot carry).
-        inputs, outputs, propagatable, memory, _ = self._effects.get(op, cwp)
+        inputs, outputs, propagatable, memory, _, _ = self._effects.get(op, cwp)
         propagated: Optional[Dict[_Replica, Dict[_Key, int]]] = None
         store_pending: Optional[List[Any]] = None
         store_keys: Tuple[int, ...] = ()

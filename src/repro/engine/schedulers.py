@@ -33,6 +33,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -45,6 +46,7 @@ from repro.faultinjection.comparison import compare_runs
 
 from repro.engine.backend import (
     ExecutionBackend,
+    IssBackend,
     Leon3RtlBackend,
     RunResult,
     watchdog_budget,
@@ -185,6 +187,44 @@ def execute_pack(
     return records
 
 
+def execute_jobs(
+    backend: ExecutionBackend,
+    golden: RunResult,
+    budget: int,
+    jobs: Sequence[CampaignJob],
+    runner: Optional["_CheckpointRunnerBase"] = None,
+    pack_runner: Optional["LockstepPackRunner"] = None,
+    early_exit: bool = True,
+    screen: Optional[InertScreen] = None,
+) -> Iterator[OutcomeRecord]:
+    """Run *jobs* and yield their records in job order: one by one through
+    :func:`execute_job`, or, with a *pack_runner*, in packs of the jobs
+    *screen* does not resolve (screened jobs never take a pack slot)."""
+    if pack_runner is None:
+        for job in jobs:
+            yield execute_job(
+                backend, golden, budget, job, runner=runner,
+                early_exit=early_exit, screen=screen,
+            )
+        return
+    inert = {job.index for job in jobs if screened(job, screen)}
+    packs = iter(group_packs(
+        [job for job in jobs if job.index not in inert], pack_runner.width
+    ))
+    done: Dict[int, OutcomeRecord] = {}
+    for job in jobs:
+        if job.index in inert:
+            yield execute_job(backend, golden, budget, job, screen=screen)
+            continue
+        if job.index not in done:
+            for record in execute_pack(
+                backend, golden, budget, next(packs), pack_runner,
+                early_exit=early_exit,
+            ):
+                done[record.job.index] = record
+        yield done.pop(job.index)
+
+
 def plan_runner(
     plan: CampaignPlan, backend: ExecutionBackend
 ) -> Optional["_CheckpointRunnerBase"]:
@@ -221,28 +261,14 @@ class SerialScheduler:
             plan.backend, plan.max_instructions, plan.lockstep_width, runner=runner
         )
         records: List[OutcomeRecord] = []
-
-        def emit(record: OutcomeRecord) -> None:
+        for record in execute_jobs(
+            plan.backend, plan.golden, budget, plan.jobs, runner=runner,
+            pack_runner=pack_runner, early_exit=plan.early_exit,
+            screen=plan.screen,
+        ):
             records.append(record)
             if on_outcome is not None:
                 on_outcome(record)
-
-        if pack_runner is not None:
-            for pack in group_packs(plan.jobs, pack_runner.width):
-                for record in execute_pack(
-                    plan.backend, plan.golden, budget, pack,
-                    pack_runner, early_exit=plan.early_exit,
-                ):
-                    emit(record)
-            return records
-        for job in plan.jobs:
-            emit(
-                execute_job(
-                    plan.backend, plan.golden, budget, job,
-                    runner=runner, early_exit=plan.early_exit,
-                    screen=plan.screen,
-                )
-            )
         return records
 
 
@@ -266,12 +292,14 @@ def _run_golden(
     With a checkpoint *runner* the ladder recording *is* the golden run (the
     recorded result is bit-identical to a plain run — the checkpoint
     contract); otherwise a plain golden executes, watching the storage cells
-    *watch* (``Leon3RtlBackend.run(watch=...)``).
+    *watch* (``Leon3RtlBackend.run(watch=...)``, ``IssBackend.run(watch=...)``).
     """
     if runner is not None:
         return runner.golden()
     if watch:
-        return cast(Leon3RtlBackend, backend).run(max_instructions, watch=watch)
+        return cast(Union[IssBackend, Leon3RtlBackend], backend).run(
+            max_instructions, watch=watch
+        )
     return backend.run(max_instructions=max_instructions)
 
 
@@ -339,22 +367,10 @@ def _run_batch(
     pack_runner = cast(
         "Optional[LockstepPackRunner]", _WORKER.get("pack_runner")
     )
-    if pack_runner is not None:
-        records = [
-            record
-            for pack in group_packs(jobs, pack_runner.width)
-            for record in execute_pack(
-                backend, golden, budget, pack, pack_runner, early_exit=early_exit
-            )
-        ]
-    else:
-        records = [
-            execute_job(
-                backend, golden, budget, job, runner=runner,
-                early_exit=early_exit, screen=screen,
-            )
-            for job in jobs
-        ]
+    records = list(execute_jobs(
+        backend, golden, budget, jobs, runner=runner, pack_runner=pack_runner,
+        early_exit=early_exit, screen=screen,
+    ))
     snapshot = TELEMETRY.snapshot(reset=True) if TELEMETRY.enabled else None
     if snapshot is not None and TELEMETRY.events is not None:
         # Keep the worker's trace sidecar current even if the pool is torn

@@ -53,13 +53,24 @@ exactly that overhead while staying **result-transparent**:
   handlers.  Each exit returns how many of the block's instructions ran, and
   the run adds that prefix's mnemonic histogram once per distinct exit.
 
-  *Entry conditions:* ``run`` enters a block only when no fault is armed,
-  the trace is not detailed, no annul is pending, ``npc == pc + 4`` and the
-  whole block fits the remaining instruction budget.  Everything else —
-  faulted runs, delay slots of CTIs stepped singly, the last few
-  instructions before a budget boundary — runs on the per-instruction loop,
-  so watchdog boundaries and sliced runs stop at exactly the same
-  instruction as the reference.
+  *Entry conditions:* ``run`` enters a block only when the trace is not
+  detailed, no ``bit_flip`` is armed, no annul is pending, ``npc == pc + 4``
+  and the whole block fits the remaining instruction budget.  Everything
+  else — delay slots of CTIs stepped singly, the last few instructions
+  before a budget boundary — runs on the per-instruction loop, so watchdog
+  boundaries and sliced runs stop at exactly the same instruction as the
+  reference.
+
+  *Armed stuck-at:* the fault is re-applied before every instruction, but
+  it can act only at a boundary where its register's physical slot has just
+  been written or the window has just moved.  Each block records the slots
+  its instructions write and whether it runs ``save``/``restore``
+  (:class:`_Block`); a stuck-at run applies the fault once at block entry
+  and enters a block only when no instruction before the block's last one
+  writes the fault's slot (or, for a window register, moves the window).
+  Other blocks step one instruction at a time, from the next PC on the block
+  path again.  A register watch (:meth:`FastEmulator.watch`) uses the same
+  records to fold register values at block exits.
 
   *Invalidation rule:* translation fills the decode cache, so every page a
   block covers is a code page; a store to a code page drops that page's
@@ -84,7 +95,7 @@ fault-free and under injected architectural faults.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.isa.ccodes import (
     ConditionCodes,
@@ -169,6 +180,22 @@ class _CachedOp:
             self.value = to_u32(instruction.imm << 10)
         elif mnemonic == "ticc":
             self.cond = instruction.rd & 0xF
+
+
+def _written_registers(op: _CachedOp) -> Tuple[int, ...]:
+    """The architectural registers *op* writes, ``%g0`` left out
+    (``save``/``restore`` write theirs under the new window; a handler that
+    traps writes none)."""
+    defn = op.instruction.defn
+    mnemonic = op.mnemonic
+    if (defn.category is InstructionCategory.BRANCH or defn.writes_memory
+            or mnemonic == "ticc" or mnemonic == "wr"):
+        return ()
+    if mnemonic == "call":
+        return (15,)
+    if mnemonic == "ldd":
+        return (op.rd & ~1, op.rd | 1) if op.rd > 1 else (1,)
+    return (op.rd,) if op.rd else ()
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +759,38 @@ _BLOCK_GLOBALS: Dict[str, object] = {
 
 
 class _Block:
-    """One compiled block: its function, length and per-exit histograms."""
+    """One compiled block: its function, length, per-exit histograms and
+    the register slots it writes.
 
-    __slots__ = ("run", "length", "mnemonics", "_histograms")
+    A slot is a global's index (1..7) or ``8 +`` a window register's physical
+    index, the lockstep runtime's slot numbering.  ``early_writes`` and
+    ``early_shift`` cover every instruction but the last: an armed stuck-at
+    may enter the block when neither touches its register (see
+    :meth:`FastEmulator.run`).  ``rewrites`` are the slots written more than
+    once, which a register watch cannot see between the writes.
+    """
 
-    def __init__(self, run: Callable, mnemonics: Tuple[str, ...]):
+    __slots__ = ("run", "length", "mnemonics", "_histograms", "writes",
+                 "early_writes", "rewrites", "early_shift", "shifts")
+
+    def __init__(self, run: Callable, mnemonics: Tuple[str, ...],
+                 slot_writes: List[Tuple[int, int]], shift_at: List[int]):
         self.run = run
         self.length = len(mnemonics)
         self.mnemonics = mnemonics
         self._histograms: Dict[int, List[Tuple[str, int]]] = {}
+        last = self.length - 1
+        writes: Set[int] = set()
+        rewrites: Set[int] = set()
+        for _, slot in slot_writes:
+            (rewrites if slot in writes else writes).add(slot)
+        self.writes = frozenset(writes)
+        self.rewrites = frozenset(rewrites)
+        self.early_writes = frozenset(
+            slot for index, slot in slot_writes if index < last
+        )
+        self.shifts = bool(shift_at)
+        self.early_shift = any(index < last for index in shift_at)
 
     def histogram(self, ran: int) -> List[Tuple[str, int]]:
         """Mnemonic counts of the first *ran* instructions, in first-execution
@@ -776,6 +826,10 @@ class _BlockCompiler:
         self.touches_icc = self.writes_icc
         self.raises = False
         self.uses: Set[str] = set()
+        #: (instruction index, slot) of every register write, and the indices
+        #: of ``save``/``restore`` (see :class:`_Block`).
+        self.slot_writes: List[Tuple[int, int]] = []
+        self.shift_at: List[int] = []
         for index, op in enumerate(ops):
             at = pc + 4 * index
             if op.handler in _CTI_HANDLERS:
@@ -816,6 +870,15 @@ class _BlockCompiler:
         if first == "0":
             return second
         return f"({first} + {second}) & {_MASK}"
+
+    def note_writes(self, op: _CachedOp, index: int) -> None:
+        """Record *op*'s register writes, under the window it writes in."""
+        for reg in _written_registers(op):
+            self.slot_writes.append((
+                index,
+                reg if reg < 8
+                else 8 + self.registers._physical_index(reg, self.cwp),
+            ))
 
     def may_raise(self, at: int, npc: str) -> None:
         self.raises = True
@@ -870,6 +933,7 @@ class _BlockCompiler:
             self.emit(f"nn = {self.address(op)}")
             self.write(op.rd, f"{to_u32(at)}")
             npc = "nn"
+        self.note_writes(op, index)
         self._op(slot, at + 4, npc, index + 1)
         self._exit(npc, _plus4(npc), index + 2)
 
@@ -890,6 +954,7 @@ class _BlockCompiler:
                 emit("ic = emu.icc; n = ic.n; z = ic.z; v = ic.v; c = ic.c")
         elif handler is _h_save or handler is _h_restore:
             self.may_raise(at, npc)
+            self.shift_at.append(index)
             self.uses.add("r")
             emit(f"x = {self.address(op)}")
             if handler is _h_save:
@@ -901,6 +966,7 @@ class _BlockCompiler:
             self.write(op.rd, "x")
         else:
             self._memory(op, at, npc, index)
+        self.note_writes(op, index)
 
     def _alu(self, op: _CachedOp) -> None:
         handler = op.handler
@@ -1043,14 +1109,101 @@ def _fold_counts(
             timing.account_bulk(defn, count)
 
 
+class _RegisterWatch:
+    """Folds every value the watched registers hold at an instruction
+    boundary into their read summaries (objects with ``ored``/``anded``
+    words, e.g. :class:`~repro.rtl.faults.CellReads`).
+
+    A register's boundary value changes only when its physical slot is
+    written or the window moves, so the watch records after writes rather
+    than at every boundary: every register at the start of a run and after
+    a window move, and otherwise the registers an op or block just wrote.
+    A block can be watched this way when it rewrites no watched slot (the
+    first value would be lost) and moves the window only in its last
+    instruction; other blocks step one instruction at a time.  The value
+    left by a run's last instruction is recorded too, although no boundary
+    follows it: the summary may over-approximate, never miss, a value.
+    """
+
+    def __init__(self, reads: Mapping[int, Any], registers) -> None:
+        self._registers = registers
+        self._reads = reads
+        self._windowed = [reg for reg in reads if reg >= 8]
+        #: Block -> ``None`` when it cannot be watched, else the
+        #: (slot, summary) pairs it may write and whether it moves the window.
+        self._plans: Dict[_Block, Optional[tuple]] = {}
+        #: Op -> the registers to record after it (see :meth:`after_op`).
+        self._targets: Dict[_CachedOp, Tuple[int, ...]] = {}
+
+    def record(self, regs) -> None:
+        read = self._registers.read
+        reads = self._reads
+        for reg in regs:
+            summary = reads.get(reg)
+            if summary is not None:
+                value = read(reg)
+                summary.ored |= value
+                summary.anded &= value
+
+    def record_all(self) -> None:
+        self.record(self._reads)
+
+    def after_op(self, op: _CachedOp) -> None:
+        targets = self._targets.get(op)
+        if targets is None:
+            # The watched registers *op* writes, all window registers after
+            # a window move (computed once per op).
+            targets = self._targets[op] = tuple(
+                reg for reg in _written_registers(op) if reg in self._reads
+            ) + (tuple(self._windowed)
+                 if op.handler is _h_save or op.handler is _h_restore else ())
+        if targets:
+            self.record(targets)
+
+    def plan(self, block: _Block) -> Optional[tuple]:
+        """The block's watch plan (computed once per block, which is
+        specialised to one window)."""
+        plan = self._plans.get(block, _UNTRANSLATED)
+        if plan is _UNTRANSLATED:
+            registers = self._registers
+            cwp = registers.cwp
+            slots = {
+                (reg if reg < 8 else 8 + registers._physical_index(reg, cwp)):
+                    summary
+                for reg, summary in self._reads.items()
+            }
+            if (block.rewrites.isdisjoint(slots)
+                    and not (block.early_shift and self._windowed)):
+                plan = (
+                    tuple((slot, summary) for slot, summary in slots.items()
+                          if slot in block.writes),
+                    block.shifts,
+                )
+            else:
+                plan = None
+            self._plans[block] = plan
+        return plan
+
+    def after_block(self, plan: tuple) -> None:
+        registers = self._registers
+        for slot, summary in plan[0]:
+            value = (registers._globals[slot] if slot < 8
+                     else registers._windows[slot - 8])
+            summary.ored |= value
+            summary.anded &= value
+        if plan[1]:
+            self.record(self._windowed)
+
+
 class FastEmulator(Emulator):
     """Drop-in, bit-identical, faster replacement for :class:`Emulator`.
 
     Optionally applies an :class:`~repro.iss.faults.ArchitecturalFault`
     while running (pass ``fault=``), replicating
-    :class:`~repro.iss.faults._FaultyEmulator` exactly: the fault effect is
+    :class:`~repro.iss.faults._FaultyEmulator` exactly: a stuck-at is
     applied to the register file before every executed (non-annulled)
-    instruction; a ``bit_flip`` fires once at its trigger index.
+    instruction (on the block path, where it can act — see the module
+    docstring); a ``bit_flip`` fires once at its trigger index.
     """
 
     def __init__(
@@ -1070,6 +1223,7 @@ class FastEmulator(Emulator):
         self._fault = fault
         self._fault_executed = 0
         self._flip_done = False
+        self._watch: Optional[_RegisterWatch] = None
         self._decode_cache: Dict[int, _CachedOp] = {}
         self._code_pages: Dict[int, Set[int]] = {}
         #: Per-CWP map of block entry PC -> compiled block, or ``None`` where
@@ -1113,6 +1267,15 @@ class FastEmulator(Emulator):
         super().reset(entry_point=entry_point)
         self._fault_executed = 0
         self._flip_done = False
+
+    def watch(self, reads: Mapping[int, Any]) -> None:
+        """Fold the value of each register in *reads* at every instruction
+        boundary of the following runs into its summary (``reads`` maps a
+        register 1..31 to an object with ``ored``/``anded`` words).  Refused
+        while a fault is armed: the watch describes the fault-free run."""
+        if self._fault is not None:
+            raise RuntimeError("cannot watch registers while a fault is armed")
+        self._watch = _RegisterWatch(reads, self.registers) if reads else None
 
     def _fill(self, pc: int) -> _CachedOp:
         word = self.memory.read_word(pc)
@@ -1167,9 +1330,10 @@ class FastEmulator(Emulator):
             )
             block = _BLOCK_MEMO.get(key)
             if block is None:
-                run = _BlockCompiler(registers, ops, pc).build()
+                compiler = _BlockCompiler(registers, ops, pc)
                 block = _BLOCK_MEMO[key] = _Block(
-                    run, tuple(op.mnemonic for op in ops)
+                    compiler.build(), tuple(op.mnemonic for op in ops),
+                    compiler.slot_writes, compiler.shift_at,
                 )
         self._blocks[cwp][pc] = block
         last = pc + 4 * max(len(ops) - 1, 0)
@@ -1307,9 +1471,27 @@ class FastEmulator(Emulator):
         registers = self.registers
         fault = self._fault
         fault_permanent = fault is not None and fault.model != "bit_flip"
-        # Blocks fold their mnemonic counts per exit and apply no fault, so
-        # they run only fault-free and without a detailed trace.
-        use_blocks = fault is None and not detailed
+        # Blocks fold their mnemonic counts per exit, so a detailed trace
+        # steps every instruction; so does a bit_flip.  A stuck-at is
+        # applied at block entry and enters only the blocks it cannot act
+        # inside (see "Armed stuck-at" in the module docstring).
+        use_blocks = not detailed and (fault is None or fault_permanent)
+        #: Per-CWP block slot of the stuck-at's register; ``None`` without a
+        #: stuck-at, or on %g0, which ignores writes (every block is entered).
+        stuck_slots: Optional[List[int]] = None
+        stuck_windowed = False
+        if fault_permanent and fault.register:
+            stuck_windowed = fault.register >= 8
+            stuck_slots = [
+                8 + registers._physical_index(fault.register, cwp)
+                if stuck_windowed else fault.register
+                for cwp in range(registers.nwindows)
+            ]
+        watch = self._watch
+        if watch is not None and max_instructions > 0:
+            watch.record_all()
+        # One test on the fault-free block path for both of the above.
+        armed = stuck_slots is not None or watch is not None
         blocks = self._blocks
         #: (block, instructions ran) -> times, folded into counts at the end.
         exits: Dict[Tuple[_Block, int], int] = {}
@@ -1329,7 +1511,26 @@ class FastEmulator(Emulator):
                 if block is _UNTRANSLATED:
                     block = self._translate(pc)
                 if block is not None:
-                    if executed + block.length <= max_instructions:
+                    if executed + block.length > max_instructions:
+                        # The budget ends inside this block: the few
+                        # remaining instructions step one at a time.
+                        use_blocks = False
+                    elif armed and (
+                        (stuck_slots is not None and (
+                            stuck_slots[registers.cwp] in block.early_writes
+                            or (stuck_windowed and block.early_shift)
+                        ))
+                        or (watch is not None and (plan := watch.plan(block)) is None)
+                    ):
+                        # The stuck-at would act inside, or the watch could
+                        # not see a rewritten slot: step this one.
+                        pass
+                    else:
+                        if armed and stuck_slots is not None:
+                            registers.write(
+                                fault.register,
+                                fault.apply(registers.read(fault.register)),
+                            )
                         error = None
                         try:
                             ran = block.run(self, transactions)
@@ -1337,6 +1538,8 @@ class FastEmulator(Emulator):
                             ran = ((self.pc - pc) >> 2) + 1
                             error = exc
                         executed += ran
+                        if armed and watch is not None:
+                            watch.after_block(plan)
                         key = (block, ran)
                         seen = exits_get(key)
                         if seen is None:
@@ -1353,9 +1556,6 @@ class FastEmulator(Emulator):
                             halted = True
                             break
                         continue
-                    # The budget ends inside this block: the few remaining
-                    # instructions step one at a time.
-                    use_blocks = False
             op = cache_get(pc)
             if op is None:
                 try:
@@ -1388,6 +1588,8 @@ class FastEmulator(Emulator):
                 trap = _trap_event(exc, pc)
                 halted = True
                 break
+            if armed and watch is not None:
+                watch.after_op(op)
             if outcome is None:
                 self.pc = self.npc
                 self.npc += 4

@@ -19,6 +19,7 @@ from repro.faultinjection.campaign import run_iss_campaign
 from repro.isa import encoding
 from repro.isa.assembler import assemble
 from repro.isa.encoding import OP_ARITH
+from repro.isa.registers import RegisterFile
 from repro.iss.emulator import Emulator
 from repro.iss.fastpath import FastEmulator, verify_bit_identity
 from repro.iss.faults import ArchitecturalFault
@@ -478,6 +479,40 @@ def _translations(emulator) -> int:
     return sum(len(blocks) for blocks in emulator._blocks)
 
 
+def _slot(register: int, cwp: int) -> int:
+    """The block metadata's slot of *register* in window *cwp*."""
+    if register < 8:
+        return register
+    return 8 + RegisterFile()._physical_index(register, cwp)
+
+
+def _record_block_entries(monkeypatch):
+    """Record the (block, cwp) of every block translation and every block
+    entry of the fast emulators run from now on (a fresh block memo, so
+    every block is compiled and wrapped here)."""
+    translated, entries = [], []
+    translate = FastEmulator._translate
+
+    def recording(self, pc):
+        block = translate(self, pc)
+        if block is not None:
+            translated.append((block, self.registers.cwp))
+            if not hasattr(block.run, "recorded"):
+                run = block.run
+
+                def entered(emu, tx, block=block, run=run):
+                    entries.append((block, emu.registers.cwp))
+                    return run(emu, tx)
+
+                entered.recorded = True
+                block.run = entered
+        return block
+
+    monkeypatch.setattr(fastpath, "_BLOCK_MEMO", {})
+    monkeypatch.setattr(FastEmulator, "_translate", recording)
+    return translated, entries
+
+
 def _patch_word() -> int:
     return encoding.Format3Imm(
         op=OP_ARITH, op3=0x02, rd=8, rs1=0, simm13=7
@@ -642,12 +677,90 @@ out:
         _run_pair(program)
         assert len(fastpath._BLOCK_MEMO) == compiled
 
-    def test_fault_armed_runs_never_enter_a_block(self):
-        fault = ArchitecturalFault(register=9, bit=3, model="stuck_at_1")
+    def test_stuck_at_runs_enter_only_blocks_that_keep_the_fault_slot(
+        self, monkeypatch
+    ):
+        # Entered blocks write the faulted slot, and move the window, only
+        # in their last instruction; the next boundary is outside the block.
+        translated, entered = _record_block_entries(monkeypatch)
+        program = build_program("rspeed")
+        refused = 0
+        for register in (1, 9, 17, 30):  # a global, an out, a local, an in
+            for model in ("stuck_at_0", "stuck_at_1"):
+                translated.clear()
+                entered.clear()
+                fault = ArchitecturalFault(register=register, bit=0, model=model)
+                verify_bit_identity(program, fault=fault)
+                assert entered
+                for block, cwp in entered:
+                    slot = _slot(register, cwp)
+                    assert slot not in block.early_writes
+                    assert register < 8 or not block.early_shift
+                refused += sum(
+                    _slot(register, cwp) in block.early_writes
+                    for block, cwp in translated
+                )
+        assert refused
+
+    @pytest.mark.parametrize("register,body", [
+        (15, "        call    next\n        mov     %o7, %o1\nnext:\n"),
+        (8, "        mov     6, %o0\n        add     %o0, 0, %o1\n"),
+        (16, "        save    %sp, -96, %sp\n        mov     %l0, %i1\n"
+             "        restore\n"),
+        (2, "        save    %sp, -96, %sp\n        mov     %g2, %i1\n"
+            "        restore\n"),
+    ], ids=["call-then-slot", "write-then-read", "save-then-local",
+            "save-then-global"])
+    def test_stuck_at_acts_inside_a_block(self, register, body):
+        # The faulted register is written (or renamed by a window move) and
+        # then read by the same block: the fault must act in between.
+        source = f"""
+        .text
+        set     out, %l1
+        mov     2, %g2
+{body}
+        st      %o1, [%l1]
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        program = assemble(source, name="stuck-inside")
+        for bit in (0, 1, 2, 3):
+            for model in ("stuck_at_0", "stuck_at_1"):
+                fault = ArchitecturalFault(register=register, bit=bit, model=model)
+                verify_bit_identity(program, fault=fault)
+
+    def test_bit_flip_runs_never_enter_a_block(self):
+        fault = ArchitecturalFault(register=9, bit=3, model="bit_flip",
+                                   trigger_index=40)
         emulator = FastEmulator(memory=Memory(), fault=fault)
         emulator.load_program(build_program("rspeed"))
         emulator.run(max_instructions=5_000)
         assert _translations(emulator) == 0
+
+    def test_blocks_record_the_slots_they_write(self):
+        source = """
+        .text
+        mov     1, %o0
+        add     %o0, 1, %o0
+        save    %sp, -96, %sp
+        umul    %i0, 3, %l0
+        call    target
+        mov     2, %g1
+target:
+        ta      0
+"""
+        emulator = FastEmulator(memory=Memory())
+        emulator.load_program(assemble(source, name="slots"))
+        block = emulator._translate(emulator.pc)
+        # save writes its %sp, umul its %l0 and call its %o7 in window 1.
+        o0 = _slot(8, 0)
+        assert _slot(24, 1) == o0  # the save renames %o0 to %i0
+        assert block.writes == {o0, _slot(14, 1), _slot(16, 1), _slot(15, 1), 1}
+        assert block.rewrites == {o0}
+        assert block.early_writes == block.writes - {1}  # the slot's %g1
+        assert block.shifts and block.early_shift
 
     def test_detailed_trace_runs_never_enter_a_block(self):
         emulator = FastEmulator(memory=Memory(), detailed_trace=True)
@@ -664,3 +777,31 @@ out:
         assert dict(trace.opcode_counts) == {"or": 2}
         assert trace.diversity == 1
         assert timing.instructions == 2
+
+
+# ---------------------------------------------------------------------------
+# Stuck-at faults on the block path, across the registry
+# ---------------------------------------------------------------------------
+
+#: Budget of each run of the sweep: the reference interpreter costs ~30 us
+#: an instruction, and the sweep runs it 1024 times.  300 instructions reach
+#: the first calls (save/restore) and loop iterations of every workload.
+STUCK_AT_BUDGET = 300
+#: The bits the sweep forces, one per (workload, register), rotating so each
+#: register sees several bits across the registry.
+STUCK_AT_BITS = (0, 1, 2, 3, 5, 8, 13, 31)
+
+
+@pytest.mark.parametrize("name", sorted(all_workloads()))
+def test_stuck_at_sweep_matches_the_reference(name):
+    """Every register (``%g0`` included) x both stuck-at models against the
+    reference :class:`_FaultyEmulator`: same result, same final state."""
+    program = build_program(name)
+    offset = sorted(all_workloads()).index(name)
+    for register in range(32):
+        bit = STUCK_AT_BITS[(register + offset) % len(STUCK_AT_BITS)]
+        for model in ("stuck_at_0", "stuck_at_1"):
+            verify_bit_identity(
+                program, max_instructions=STUCK_AT_BUDGET,
+                fault=ArchitecturalFault(register=register, bit=bit, model=model),
+            )

@@ -11,6 +11,7 @@ reference engine.
 """
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,10 +21,18 @@ from hypothesis import strategies as st
 from repro.engine import (
     CampaignConfig,
     CampaignEngine,
+    IssBackend,
     Leon3RtlBackend,
     run_sharded_campaign,
 )
+from repro.engine.backend import (
+    ARCH_REGFILE_NET,
+    ARCH_REGFILE_UNIT,
+    watchdog_budget,
+)
 from repro.core.experiments import figure5_iu_faults, figure6_cmem_faults
+from repro.iss.emulator import Emulator
+from repro.iss.memory import Memory
 from repro.leon3.core import Leon3Core
 from repro.leon3.fastcore import Leon3FastCore, assert_rtl_results_identical
 from repro.leon3.units import CMEM_SCOPE
@@ -31,6 +40,7 @@ from repro.obs.telemetry import TELEMETRY
 from repro.rtl.faults import ALL_FAULT_MODELS, CellReads, PermanentFault
 from repro.rtl.sites import FaultSite, SiteUniverse
 from repro.store import CampaignStore
+from repro.store.cli import main as cli_main
 from repro.workloads.registry import all_workloads, build_program
 
 ARRAYS = (
@@ -322,3 +332,149 @@ def test_fig6_after_fig5_on_one_store_screens_like_fig6_alone(tmp_path):
     after_fig5 = _fig6_screening(shared)
     assert alone[0] > 0
     assert after_fig5 == alone
+
+
+# ---------------------------------------------------------------------------
+# The ISS screen: register-file stuck-at faults
+# ---------------------------------------------------------------------------
+
+#: An ISS permanent campaign whose packs mix screened and simulated jobs.
+ISS_CAMPAIGN = {"unit_scope": ARCH_REGFILE_UNIT, "sample_size": 12, "seed": 5,
+                "fault_models": list(ALL_FAULT_MODELS), "lockstep_width": 24}
+ISS_MODELS = ("stuck_at_0", "stuck_at_1", "bit_flip")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=31),
+    st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1), min_size=1,
+             max_size=12),
+)
+def test_iss_inert_on_iff_apply_is_the_identity_on_every_boundary(bit, values):
+    """Summarised as the ISS watch summarises a register (every bit marked
+    changed), a stream of boundary values screens a fault exactly when the
+    architectural fault leaves each of those values unchanged."""
+    reads = CellReads.unread(32)
+    for value in values:
+        reads.record(value, value)
+    reads.changed = (1 << 32) - 1
+    site = FaultSite(net=ARCH_REGFILE_NET, bit=bit, unit=ARCH_REGFILE_UNIT,
+                     index=9)
+    for model in ALL_FAULT_MODELS:
+        fault = PermanentFault(site=site, model=model)
+        arch = IssBackend._to_architectural(fault)
+        assert arch.model in ISS_MODELS
+        unchanged = all(arch.apply(value) == value for value in values)
+        assert fault.inert_on(reads) == unchanged
+
+
+class _BoundaryRecorder(Emulator):
+    """The reference interpreter, folding every register's value at each
+    boundary where an architectural fault is applied (``_execute``)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = {register: CellReads.unread(32) for register in range(1, 32)}
+
+    def _execute(self, instruction, pc, transactions):
+        for register, reads in self.seen.items():
+            value = self.registers.read(register)
+            reads.ored |= value
+            reads.anded &= value
+        return super()._execute(instruction, pc, transactions)
+
+
+@pytest.mark.parametrize("name", sorted(all_workloads()))
+def test_iss_screen_is_exact_and_screened_jobs_are_the_golden(name):
+    """The fast ISS watch folds exactly the reference interpreter's boundary
+    values of every register, and screened jobs (one per stuck-at model per
+    workload, rotating over the registers) run from reset on the reference
+    interpreter to the golden result."""
+    program = build_program(name)
+    backend = IssBackend()
+    backend.prepare(program)
+    sites = list(backend.sites.iter_sites([ARCH_REGFILE_UNIT]))
+    golden = backend.run(400_000, watch=sites)
+    summary = backend.cell_reads
+    assert golden.normal_exit and summary is not None
+    recorder = _BoundaryRecorder(memory=Memory())
+    recorder.load_program(program)
+    recorder.run(max_instructions=400_000)
+    assert summary[(ARCH_REGFILE_NET, 0)] == CellReads.unread(32)
+    for register, reads in recorder.seen.items():
+        watched = summary[(ARCH_REGFILE_NET, register)]
+        assert (watched.ored, watched.anded) == (reads.ored, reads.anded)
+        assert watched.changed == (1 << 32) - 1
+    reference = IssBackend(fast=False)
+    reference.prepare(program)
+    offset = sorted(all_workloads()).index(name)
+    budget = watchdog_budget(golden.instructions)
+    for turn, model in enumerate(ALL_FAULT_MODELS[:2]):
+        screened = [
+            fault for fault in (
+                PermanentFault(site=site, model=model) for site in sites
+            )
+            if fault.inert_on(summary[(fault.site.net, fault.site.index)])
+        ]
+        assert len(screened) < len(sites)  # some faults on each model act
+        fault = screened[(offset + turn) % len(screened)]
+        assert reference.run(budget, faults=[fault]) == golden
+
+
+def _iss_outcomes(**overrides):
+    engine = CampaignEngine(
+        build_program("intbench"), CampaignConfig(**{**ISS_CAMPAIGN, **overrides}),
+        backend_factory=IssBackend,
+    )
+    results = engine.run()
+    counters = TELEMETRY.snapshot()["counters"]
+    outcomes = [o for model in results for o in results[model].outcomes]
+    return engine, outcomes, counters
+
+
+def test_iss_outcomes_identical_across_schedulers_shards_and_reference(
+    tmp_path
+):
+    """Serial, 2-process and 3-shard lockstep runs of one ISS permanent
+    campaign screen the same jobs, keep them out of the packs, and give the
+    reference interpreter's (unscreened, scalar) outcomes."""
+    serial_engine, serial, serial_counters = _iss_outcomes()
+    screened = serial_counters["engine.jobs_screened"]
+    dispatched = serial_counters["campaign.jobs_executed"]
+    assert 0 < screened < dispatched == len(serial)
+    assert serial_counters["lockstep.replicas"] == dispatched - screened
+    assert serial_engine._screen
+    _, process, process_counters = _iss_outcomes(
+        n_workers=2, scheduler="process", chunk_size=10
+    )
+    assert process == serial
+    assert process_counters["engine.jobs_screened"] == screened
+    reference_engine, reference, reference_counters = _iss_outcomes(
+        iss_fast=False
+    )
+    assert reference == serial
+    assert reference_engine._screen is None
+    assert "engine.jobs_screened" not in reference_counters
+    store_path = str(tmp_path / "sharded.sqlite")
+    run_sharded_campaign(
+        build_program("intbench"), CampaignConfig(**ISS_CAMPAIGN), IssBackend,
+        shards=3, store_path=store_path,
+    )
+    with CampaignStore(store_path) as store:
+        (info,) = store.list_campaigns()
+        sharded = [r.to_outcome() for r in store.stored_records(info.key)]
+    assert sharded == serial
+
+
+def test_metrics_command_reports_the_iss_screen_share(tmp_path, capsys):
+    store_path = str(tmp_path / "campaigns.sqlite")
+    assert cli_main([
+        "campaign", "run", "--workload", "intbench", "--backend", "iss",
+        "--sites", "12", "--seed", "5", "--lockstep", "24",
+        "--store", store_path, "--quiet",
+    ]) == 0
+    capsys.readouterr()
+    assert cli_main(["campaign", "metrics", "--store", store_path]) == 0
+    out = capsys.readouterr().out
+    match = re.search(r"inert screen: (\d+) of 36 jobs resolved", out)
+    assert match and int(match.group(1)) > 0

@@ -121,6 +121,45 @@ def test_pack_bit_identity_across_registry(workload):
     )
 
 
+#: Bits the stuck-at pack sweep forces, rotating over registers and workloads.
+STUCK_BITS = (0, 1, 2, 3, 5, 8, 13, 31)
+
+
+@pytest.mark.parametrize("workload", REGISTRY)
+def test_stuck_at_packs_across_registry(workload):
+    """Stuck-at replicas ride the one event-driven sweep: the pack re-applies
+    each fault only after a golden write of its slot or a window move.  A
+    ladder-less pack (as permanent campaigns run it) with one stuck-at on
+    every register, ``%g0`` included, equals each fault run alone, final
+    architectural state included."""
+    program = build_program(workload)
+    backend = _prepared_backend(program)
+    golden = backend.run(max_instructions=MAX_INSTRUCTIONS)
+    budget = watchdog_budget(golden.instructions)
+    pack_runner = make_pack_runner(backend, MAX_INSTRUCTIONS, 16)
+    offset = REGISTRY.index(workload)
+    faults = [
+        PermanentFault(
+            FaultSite("regfile", STUCK_BITS[(register + offset) % len(STUCK_BITS)],
+                      "arch.regfile", index=register),
+            (FaultModel.STUCK_AT_0, FaultModel.STUCK_AT_1)[(register + offset) % 2],
+        )
+        for register in range(32)
+    ]
+    arch = [backend._to_architectural(fault) for fault in faults]
+    outcomes = []
+    for start in range(0, len(arch), 16):
+        outcomes.extend(pack_runner.run_pack(
+            arch[start : start + 16], budget, capture_final_state=True
+        ))
+    for fault, outcome in zip(faults, outcomes):
+        reference = backend.run(max_instructions=budget, faults=[fault])
+        assert_run_results_identical(reference, outcome.result)
+        assert outcome.final_state == from_reset_final_state(
+            program, backend, fault, budget
+        )
+
+
 def test_sweep_covered_every_resolution_path():
     """The registry sweep must actually exercise demotion, demoted-splice
     rejoin, in-pack convergence, golden riding and delta propagation —
