@@ -18,6 +18,13 @@ open-line net jobs: :class:`~repro.engine.backend.Leon3RtlBackend` serves an
 open-line net fault from the result of its stuck-at twin, which runs
 earlier in the series, so neither series simulates those jobs.
 
+**Paperbench phase it moves:** ``leon3.fast_s`` on the ``paper_rtl`` workload
+(``python3 paperbench/run.py --workload paper_rtl --trace 1``) — the fast
+core's runs behind Figs 5–7's permanent-fault campaigns.  The fast core runs
+straight-line code as compiled blocks; each row reports the share of the
+series' fast-core instructions that ran inside blocks (``block_share``), and
+``--check`` fails when that share is 0 (the block path silently off).
+
 Appends a dated record to the ``BENCH_rtl_throughput.json`` history next to
 the repo root so CI and future optimisation PRs can track the trend:
 
@@ -26,8 +33,8 @@ the repo root so CI and future optimisation PRs can track the trend:
     python benchmarks/bench_rtl_throughput.py --check          # CI smoke gate
 
 ``--check`` compares the measured aggregate *speedup* against the latest
-committed record, failing on a >20% regression or on a speedup below the 3x
-floor the fast engine is required to clear.  The speedup ratio (fast inj/s /
+committed record, failing on a >20% regression, on a speedup below the 3x
+floor the fast engine is required to clear, or on a zero block share.  The speedup ratio (fast inj/s /
 reference inj/s on the same machine, same run) is the machine-portable
 metric; absolute injections/second are recorded for context but never
 compared across machines.
@@ -61,17 +68,23 @@ SPEEDUP_FLOOR = 3.0
 
 
 class FallbackCounter:
-    """Counts the runs *core* executes on its reference-core fallback."""
+    """Counts the runs *core* executes on its reference-core fallback, and
+    the instructions of the others (the fast core's own)."""
 
     def __init__(self, core):
         self.runs = 0
+        self.fast_instructions = 0
         self._core = core
         self._run = core.run
         core.run = self._counted_run
 
     def _counted_run(self, **kwargs):
-        self.runs += self._core.uses_fallback
-        return self._run(**kwargs)
+        fallback = self._core.uses_fallback
+        self.runs += fallback
+        result = self._run(**kwargs)
+        if not fallback:
+            self.fast_instructions += result.instructions
+        return result
 
 
 def run_series(backend, budget, faults):
@@ -103,8 +116,11 @@ def main() -> int:
     total_injections = 0
     total_ref_s = 0.0
     total_fast_s = 0.0
+    total_fast_instructions = 0
+    total_block_instructions = 0
     print(f"RTL injection throughput: {len(args.workloads)} workloads, "
-          f"{args.sites} sites x {len(ALL_FAULT_MODELS)} fault models each")
+          f"{args.sites} sites x {len(ALL_FAULT_MODELS)} fault models each; "
+          f"paperbench phase: leon3.fast_s on paper_rtl")
     for name in args.workloads:
         program = build_program(name)
         # Full-state bit-identity of the fault-free run (register cells,
@@ -138,7 +154,10 @@ def main() -> int:
 
         ref_results, ref_s = run_series(reference, budget, faults)
         fallbacks = FallbackCounter(fast.core)
+        blocks_before = fast.core.block_instructions
         fast_results, fast_s = run_series(fast, budget, faults)
+        block_instructions = fast.core.block_instructions - blocks_before
+        block_share = block_instructions / max(fallbacks.fast_instructions, 1)
         for fault, expected, observed in zip(faults, ref_results, fast_results):
             if observed != expected:
                 raise SystemExit(
@@ -160,20 +179,25 @@ def main() -> int:
             "fast": {"seconds": round(fast_s, 4),
                      "injections_per_second": round(injections / fast_s, 2)},
             "speedup": round(speedup, 2),
+            "block_share": round(block_share, 3),
         })
         total_injections += injections
         total_ref_s += ref_s
         total_fast_s += fast_s
+        total_fast_instructions += fallbacks.fast_instructions
+        total_block_instructions += block_instructions
         print(f"  {name:10s} {injections:4d} inj ({net_jobs} net-site jobs, "
               f"{fallbacks.runs} fallbacks, {collapsed} collapsed)   "
               f"ref {injections / ref_s:7.2f} inj/s   "
               f"fast {injections / fast_s:7.2f} inj/s   "
-              f"{speedup:5.2f}x  (bit-identical)")
+              f"{speedup:5.2f}x  blocks {block_share:5.1%}  (bit-identical)")
 
     aggregate_speedup = total_ref_s / total_fast_s
+    block_share = total_block_instructions / max(total_fast_instructions, 1)
     print(f"  aggregate: ref {total_injections / total_ref_s:.2f} inj/s, "
           f"fast {total_injections / total_fast_s:.2f} inj/s "
-          f"-> {aggregate_speedup:.2f}x speedup")
+          f"-> {aggregate_speedup:.2f}x speedup; "
+          f"{block_share:.1%} of fast-core instructions ran in blocks")
 
     baseline = {
         "benchmark": "rtl_throughput",
@@ -191,8 +215,12 @@ def main() -> int:
             ),
             "fast_injections_per_second": round(total_injections / total_fast_s, 2),
             "speedup": round(aggregate_speedup, 2),
+            "block_share": round(block_share, 3),
         },
     }
+    if args.check and not total_block_instructions:
+        print("ERROR: no fast-core instruction ran in a compiled block")
+        return 1
     return run_gated_benchmark(
         BASELINE_PATH, baseline,
         config_fields=("workloads", "sites_per_workload", "seed",

@@ -50,9 +50,13 @@ class ComparisonResult:
 def _first_divergence(
     golden: Sequence[OffCoreTransaction], faulty: Sequence[OffCoreTransaction]
 ) -> Optional[int]:
-    """Index of the first position where the two streams differ, else None."""
+    """Index of the first position where the two streams differ, else None.
+
+    Spliced golden prefixes and tails share the golden's transaction
+    objects, so an identical object skips the field comparison.
+    """
     for index, (expected, observed) in enumerate(zip(golden, faulty)):
-        if not expected.matches(observed):
+        if expected is not observed and not expected.matches(observed):
             return index
     if len(golden) != len(faulty):
         return min(len(golden), len(faulty))

@@ -82,7 +82,8 @@ class ExecutionTrace:
         self._fold_aggregates(defn, count)
 
     def record_counts(self, counts: Mapping[str, int]) -> None:
-        """Fold per-mnemonic execution *counts* via :meth:`record_bulk`.
+        """Fold per-mnemonic execution *counts*, as :meth:`record_bulk`
+        would one mnemonic at a time.
 
         Mnemonics fold in the mapping's order and zero counts are skipped.
         Counts kept in first-execution order give Counters whose key
@@ -90,9 +91,42 @@ class ExecutionTrace:
         that defers its tally this way builds the same trace, key for key.
         """
         by_mnemonic = INSTRUCTION_SET.by_mnemonic
+        opcode_counts = self.opcode_counts
+        opcode_get = opcode_counts.get
+        # Category and unit totals fold once per key, in first-appearance
+        # order (enum hashing dominates a per-mnemonic Counter update); the
+        # local maps are keyed by the members' ids, which hash in C.
+        categories: Dict[int, list] = {}
+        units: Dict[int, list] = {}
         for mnemonic, count in counts.items():
-            if count > 0:
-                self.record_bulk(by_mnemonic(mnemonic), count)
+            if count <= 0:
+                continue
+            if self.detailed:
+                raise ValueError("record_counts cannot produce detailed records")
+            defn = by_mnemonic(mnemonic)
+            self.total_instructions += count
+            opcode_counts[mnemonic] = opcode_get(mnemonic, 0) + count
+            entry = categories.get(id(defn.category))
+            if entry is None:
+                categories[id(defn.category)] = [defn.category, count]
+            else:
+                entry[1] += count
+            if defn.reads_memory:
+                self.memory_reads += count
+            if defn.writes_memory:
+                self.memory_writes += count
+            for unit in defn.units:
+                entry = units.get(id(unit))
+                if entry is None:
+                    units[id(unit)] = [unit, count, [mnemonic]]
+                else:
+                    entry[1] += count
+                    entry[2].append(mnemonic)
+        for category, count in categories.values():
+            self.category_counts[category] += count
+        for unit, count, mnemonics in units.values():
+            self.unit_counts[unit] += count
+            self.unit_opcodes.setdefault(unit, set()).update(mnemonics)
 
     def _fold_aggregates(self, defn: InstructionDef, count: int) -> None:
         mnemonic = defn.mnemonic

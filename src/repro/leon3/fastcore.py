@@ -61,6 +61,43 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   With ``detailed_trace=True`` per-record pc/cycle stamps are required, so
   trace accounting runs live (the flattened pipeline still applies).
 
+* **Block path** — fault-free straight-line code runs as compiled blocks,
+  one generated Python function per (entry PC, CWP) translated from the
+  core's own ops, as the ISS fast path does (:mod:`repro.iss.fastpath`).  A
+  block runs up to a CTI plus its delay slot, at most :data:`_BLOCK_CAP`
+  instructions, and ends before ``ticc``, an op without semantics, a word
+  that does not decode, and an op built from a word other than the memory
+  image's.  Register operands are cell-list accesses at physical indices
+  resolved at translation; the instruction-cache probe is inlined once per
+  line with constant index and tag, and a hit checks that the line holds
+  the block's words (a stale line steps singly); latency is a constant per
+  instruction, while miss penalties, transaction stamps, hit/miss counters
+  and refills stay exact.  Each exit returns how many instructions
+  completed, and the run adds that prefix's mnemonic histogram once per
+  distinct exit.
+
+  *Entry conditions:* no pending annul, ``npc == pc + 4``, no cache hook,
+  an aggregate trace and the whole block inside the segment's budget, so
+  checkpoint slices, watchdog boundaries and traps stop on the same
+  instruction as stepping.  *Register-file hooks* (:meth:`_block_mode`): a
+  watch, or an open-line fault, enters *hooked* blocks that route every
+  read through the hook in reference order; stuck-at and transient faults,
+  which ignore the previous read, enter plain blocks that do not read the
+  faulted cell, or that run wholly outside a transient's window.
+
+  *Invalidation and memo:* blocks are dropped with the ops of their code
+  pages (a store there, a ``reload``/``restore_state`` page change, a change
+  of word-net faults), and a store to a code page ends the running block
+  right after it.  Compiled blocks are shared process-wide, keyed by entry
+  PC, CWP, window count, flavour, cache geometry and every op's word and
+  decode fields, so word-net-faulted ops never share a block with clean
+  ones.  Compiling a block (parsing its generated source) costs about what
+  a hundred runs of it save, so a block not in the memo compiles on the
+  :data:`_COMPILE_AFTER`-th entry of its key, counted process-wide, and
+  translation is tried only where straight-line code starts (a segment's
+  first instruction, a block exit, a branch target); cold code steps.
+  Invariants in ``docs/determinism.md``.
+
 The contract — enforced by ``tests/test_fastcore.py`` and re-verified by
 ``benchmarks/bench_rtl_throughput.py`` before it reports any number — is
 **bit-identity with the reference core on every observable**: off-core
@@ -73,7 +110,8 @@ image), fault-free and under injected faults.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from array import array
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.isa.ccodes import (
     ConditionCodes,
@@ -86,6 +124,9 @@ from repro.isa.decoder import DecodeError, decode_cached
 from repro.isa.encoding import to_s32, to_u32
 from repro.isa.instructions import INSTRUCTION_SET, InstructionCategory
 from repro.isa.registers import NUM_GLOBALS, WINDOW_REGS, RegisterWindowError
+from repro.iss.fastpath import _ALU_RESULTS as _ISS_ALU_RESULTS
+from repro.iss.fastpath import _BLOCK_CAP, _CONDITIONS, _MASK
+from repro.iss.fastpath import _ICC_UPDATES as _ISS_ICC_UPDATES
 from repro.iss.memory import PAGE_SHIFT, Memory, MemoryError_
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 from repro.leon3.core import (
@@ -95,10 +136,13 @@ from repro.leon3.core import (
     RtlExecutionResult,
 )
 from repro.leon3.iu import IO_BASE, IuTrap
-from repro.rtl.faults import CellReads, PermanentFault
+from repro.rtl.faults import CellReads, FaultModel, PermanentFault, TransientFault
 from repro.rtl.sites import FaultSite
 
 _U32 = 0xFFFFFFFF
+
+#: End of a permanent fault's activity window, for the block guards.
+_FOREVER = 1 << 62
 
 __all__ = [
     "Leon3FastCore",
@@ -270,14 +314,17 @@ class _FastOp:
     core's trace convention.  The decode fields are those the reference
     decode stage drives: *imm* is the 32-bit immediate operand (``None``
     when ``rs2`` supplies it; the shifted value for ``sethi``), *cond* the
-    branch condition.
+    branch condition.  ``from_memory`` says whether the fetched word equals
+    the memory image's, which holds while the op is cached (a store to its
+    page drops it); only such ops enter blocks.  ``key`` is everything a
+    block's code depends on in the op (its part of the block memo key).
     """
 
     __slots__ = (
         "word", "mnemonic", "handler", "latency", "rd", "rs1", "rs2",
         "use_imm", "imm_u32", "sets_icc", "access_size", "sign_extend_load",
         "cond", "annul", "annul_taken", "target", "value",
-        "trace_instr", "trace_defn", "trace_mnemonic",
+        "trace_instr", "trace_defn", "trace_mnemonic", "from_memory", "key",
     )
 
     def __init__(
@@ -298,6 +345,7 @@ class _FastOp:
         self.sets_icc = defn.sets_icc
         self.access_size = defn.access_size
         self.sign_extend_load = defn.sign_extend
+        self.cond = self.annul = self.target = self.value = None
         if defn.category is InstructionCategory.BRANCH:
             self.cond = cond
             self.annul = annul
@@ -309,8 +357,10 @@ class _FastOp:
             self.value = imm
         elif mnemonic == "ticc":
             self.cond = rd & 0xF
+        memory_word = None
         try:
-            traced = decode_cached(memory.read_word(pc))
+            memory_word = memory.read_word(pc)
+            traced = decode_cached(memory_word)
         except (DecodeError, MemoryError_):
             self.trace_instr = None
             self.trace_defn = None
@@ -319,6 +369,12 @@ class _FastOp:
             self.trace_instr = traced
             self.trace_defn = traced.defn
             self.trace_mnemonic = traced.defn.mnemonic
+        self.from_memory = memory_word == word
+        self.key = (
+            word, self.handler, self.latency, rd, rs1, rs2, imm, self.sets_icc,
+            self.access_size, self.sign_extend_load, self.cond, self.annul,
+            self.target, self.value, self.trace_mnemonic,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +811,587 @@ _WORD_NETS = frozenset(
 )
 
 
+# ---------------------------------------------------------------------------
+# Block translation.
+#
+# A block compiles into one function
+# ``block(core, rf, iv, it, idat, cy, tc) -> ran`` specialised for its entry
+# PC and CWP: *rf* is the register-cell list, *iv*/*it*/*idat* the
+# instruction cache's valid/tag/data lists, *cy* the cycle count at entry and
+# *tc* the run's transaction cycle stamps.  Register operands are ``rf[K]`` at
+# physical indices resolved here (``h(K, rf[K])`` in a hooked block, which
+# routes every read through the register file's hook in reference order);
+# the condition codes are the locals n/z/v/c.  ``cy`` gains the miss
+# penalties as they happen; the latencies are constants added where a cycle
+# count is observed (stamps, exits).  Every exit stores pc/npc (and a pending
+# annul), the cycle count in ``core.cycle``, and returns how many
+# instructions completed.  An instruction that may raise first records its
+# pc/npc and the cycle count before it in k/kn/kc; the ``except`` clause
+# stores them, so the caller sees the per-instruction loop's paused state.
+#
+# Instruction fetch: the first fetch of each cache line probes it with
+# constant index and tag.  On a hit the block checks that the line holds the
+# words it was translated from, and otherwise exits before that instruction
+# (a stale line steps singly).  On a miss the refill reads memory, which
+# holds exactly those words: a store to any page a block covers drops it.
+# Every fetch counts as a hit at the exit (the caller adds ``ran``, plus the
+# trapping instruction's fetch), and a miss takes one back.
+# ---------------------------------------------------------------------------
+
+_CTI_HANDLERS = frozenset({_h_branch, _h_call, _h_jmpl})
+
+#: The ISS block compiler's ALU formulas over ``{a}``/``{b}`` and its ``cc``
+#: updates, keyed here by this module's handler of the same name.
+_ALU_RESULTS = {
+    _ALU_HANDLERS[handler.__name__[3:]]: source
+    for handler, source in _ISS_ALU_RESULTS.items()
+}
+_ICC_UPDATES = {
+    _ALU_HANDLERS[handler.__name__[3:]]: source
+    for handler, source in _ISS_ICC_UPDATES.items()
+}
+
+#: Handlers the block body calls instead of inlining (they may raise).
+_CALLED_HANDLERS = frozenset({_h_udiv, _h_sdiv})
+
+_MEMORY_HANDLERS = frozenset({_h_load, _h_store, _h_ldd, _h_std})
+
+#: Handlers whose instruction may trap.
+_RAISING_HANDLERS = (
+    _MEMORY_HANDLERS | _CALLED_HANDLERS | {_h_jmpl, _h_save, _h_restore}
+)
+
+#: Every handler a block may contain.  Anything else — ``ticc``, an ALU op
+#: without semantics — ends the block before it.
+_BLOCK_HANDLERS = (
+    _CTI_HANDLERS | _CALLED_HANDLERS | _MEMORY_HANDLERS | set(_ALU_RESULTS)
+    | {_h_umul, _h_smul, _h_sethi, _h_save, _h_restore, _h_rd, _h_wr}
+)
+
+#: The one globals dict every compiled block shares.
+_BLOCK_GLOBALS: Dict[str, object] = {
+    "CC": ConditionCodes,
+    "OCT": OffCoreTransaction,
+    "IuTrap": IuTrap,
+    "RegisterWindowError": RegisterWindowError,
+    **{handler.__name__: handler for handler in _CALLED_HANDLERS},
+}
+
+#: Exceptions an instruction raises to trap the run, and the trap kind each
+#: reports.
+_TRAP_KINDS = (
+    (RegisterWindowError, "window"),
+    (MemoryError_, "memory"),
+    (ZeroDivisionError, "division_by_zero"),
+)
+_TRAP_ERRORS = (IuTrap,) + tuple(error for error, _ in _TRAP_KINDS)
+
+
+def _trap_kind(exc: BaseException) -> str:
+    """The trap kind the reference core reports for *exc*, one of
+    :data:`_TRAP_ERRORS`."""
+    if isinstance(exc, IuTrap):
+        return exc.kind
+    return next(kind for error, kind in _TRAP_KINDS if isinstance(exc, error))
+
+
+def _physical(reg: int, cwp: int, nwindows: int) -> int:
+    """Physical register cell of *reg* in window *cwp* (as :meth:`_rf_read`)."""
+    if reg < NUM_GLOBALS:
+        return reg
+    if reg <= 15:
+        return NUM_GLOBALS + ((cwp + 1) % nwindows) * WINDOW_REGS + reg
+    return NUM_GLOBALS + cwp * WINDOW_REGS + reg - 16
+
+
+class _RtlBlock:
+    """One compiled block: its function, length, per-exit histograms, the
+    register cells it reads and a bound on the cycles it spans.
+
+    ``reads`` holds every cell the block's instructions read (handlers it
+    calls included), so a stuck-at or transient on another cell cannot act
+    inside it; ``max_cycles`` counts every latency and a miss penalty per
+    line probe and data-cache access.
+    """
+
+    __slots__ = ("run", "length", "mnemonics", "_histograms", "reads", "max_cycles")
+
+    def __init__(self, run: Callable, ops: List[_FastOp], reads: Set[int],
+                 probes: int):
+        self.run = run
+        self.length = len(ops)
+        self.mnemonics = tuple(op.trace_mnemonic for op in ops)
+        self._histograms: Dict[int, List[Tuple[str, int]]] = {}
+        self.reads = frozenset(reads)
+        accesses = sum(
+            (2 if op.access_size == 8 else 1)
+            for op in ops if op.handler in _MEMORY_HANDLERS
+        )
+        self.max_cycles = (
+            sum(op.latency for op in ops) + (probes + accesses) * MISS_PENALTY
+        )
+
+    def histogram(self, ran: int) -> List[Tuple[str, int]]:
+        """Trace-mnemonic counts of the first *ran* instructions, in
+        first-execution order (built on the first exit at that length)."""
+        histogram = self._histograms.get(ran)
+        if histogram is None:
+            counts: Dict[str, int] = {}
+            for mnemonic in self.mnemonics[:ran]:
+                if mnemonic is not None:
+                    counts[mnemonic] = counts.get(mnemonic, 0) + 1
+            histogram = self._histograms[ran] = list(counts.items())
+        return histogram
+
+
+#: Process-wide memo: (pc, cwp, nwindows, hooked, cache geometry, op keys)
+#: -> compiled block.
+_BLOCK_MEMO: Dict[tuple, _RtlBlock] = {}
+
+#: Entries so far of each memo key not compiled yet, as a one-item list
+#: every pending entry of that key shares (see ``Leon3FastCore._visit``).
+_BLOCK_HEAT: Dict[tuple, List[int]] = {}
+
+#: Entries a new block's key must see before it is compiled.
+_COMPILE_AFTER = 128
+
+#: ``Leon3FastCore._blocks`` lookup default for a PC not translated yet
+#: (``None`` records that no block starts there).
+_UNTRANSLATED = object()
+
+
+class _Pending:
+    """A translated block not compiled yet: its memo key, its ops, and the
+    entry count its key shares process-wide (see ``Leon3FastCore._visit``)."""
+
+    __slots__ = ("key", "ops", "heat")
+
+    def __init__(self, key: tuple, ops: List[_FastOp], heat: List[int]):
+        self.key = key
+        self.ops = ops
+        self.heat = heat
+
+
+def _plus4(npc: str) -> str:
+    """Source for *npc* + 4 (mod 2**32), folded when *npc* is a constant."""
+    if npc == "nn":
+        return f"(nn + 4) & {_MASK}"
+    return f"{(int(npc) + 4) & _U32}"
+
+
+class _RtlBlockCompiler:
+    """Generates the source of one block's function (see the section note)."""
+
+    def __init__(self, core: "Leon3FastCore", ops: List[_FastOp], pc: int,
+                 hooked: bool):
+        self.nwindows = core.nwindows
+        self.cwp = core.cwp
+        self.hooked = hooked
+        self.icache = core.icache
+        self.dcache = core.dcache
+        self.lines: List[str] = []
+        self.indent = "            "
+        self.constants: List[object] = []
+        self.writes_icc = any(op.sets_icc for op in ops)
+        self.touches_icc = self.writes_icc
+        self.raises = False
+        self.uses: Set[str] = set()
+        self.reads: Set[int] = set()
+        self.temps = 0
+        #: Latency of the instructions completed so far on the emitted path.
+        self.lat = 0
+        #: Line-first instruction index -> (cells, words) the probe checks.
+        self.probes: Dict[int, Tuple[List[int], List[int]]] = {}
+        icache = self.icache
+        line = None
+        for index, op in enumerate(ops):
+            at = pc + 4 * index
+            if at // icache.line_bytes != line:
+                line = at // icache.line_bytes
+                first = index
+                self.probes[first] = ([], [])
+            cells, words = self.probes[first]
+            cells.append(self._icache_cell(at))
+            words.append(op.word)
+        for index, op in enumerate(ops):
+            at = pc + 4 * index
+            if op.handler in _CTI_HANDLERS:
+                self._cti(op, index, at,
+                          ops[index + 1] if index + 1 < len(ops) else None)
+                break
+            self._instruction(op, index, at, f"{at + 4}")
+        else:
+            end = pc + 4 * len(ops)
+            self._exit(f"{end}", f"{end + 4}", len(ops))
+
+    # -- operands ----------------------------------------------------------
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def _icache_cell(self, at: int) -> int:
+        icache = self.icache
+        index = (at >> icache.index_shift) & (icache.lines - 1)
+        return index * icache.words_per_line + ((at >> 2) & (icache.words_per_line - 1))
+
+    def read(self, reg: int) -> str:
+        if reg == 0:
+            return "0"
+        phys = _physical(reg, self.cwp, self.nwindows)
+        self.reads.add(phys)
+        if not self.hooked:
+            return f"rf[{phys}]"
+        self.temps += 1
+        self.emit(f"r{self.temps} = h({phys}, rf[{phys}])")
+        return f"r{self.temps}"
+
+    def write(self, reg: int, value: str) -> None:
+        if reg:
+            self.emit(f"rf[{_physical(reg, self.cwp, self.nwindows)}] = {value}")
+
+    def operands(self, op: _FastOp) -> Tuple[str, str]:
+        """rs1 and operand 2, read in the handlers' order."""
+        first = self.read(op.rs1)
+        return first, (str(op.imm_u32) if op.use_imm else self.read(op.rs2))
+
+    def address(self, first: str, second: str) -> str:
+        """*first* + *second* (mod 2**32), folding a zero addend away."""
+        if second == "0":
+            return first
+        if first == "0":
+            return second
+        return f"({first} + {second}) & {_MASK}"
+
+    def stamp(self, count: int = 1) -> None:
+        """Stamp *count* transactions with the cycle count after this
+        instruction (its latency is already in ``self.lat``)."""
+        for _ in range(count):
+            self.emit(f"tc.append(cy + {self.lat})")
+
+    # -- control -----------------------------------------------------------
+
+    def _exit(self, pc: str, npc: str, ran: int, annul: bool = False) -> None:
+        if self.writes_icc:
+            self.emit("core.icc = CC(n, z, v, c)")
+        self.emit(f"core.pc = {pc}; core.npc = {npc}")
+        if annul:
+            self.emit("core._annul_next = True")
+        self.emit(f"core.cycle = cy + {self.lat}")
+        self.emit(f"return {ran}")
+
+    def _fetch(self, index: int, at: int, npc: str) -> None:
+        """The instruction-cache fetch of instruction *index* (see the
+        section note); only the first fetch of a line probes."""
+        probe = self.probes.get(index)
+        if probe is None:
+            return
+        icache = self.icache
+        line = (at >> icache.index_shift) & (icache.lines - 1)
+        tag = (at >> icache.tag_shift) & 0x3FFFFF
+        cells, words = probe
+        if len(cells) > 2:
+            name = f"W{len(self.constants)}"
+            self.constants.append(words)
+            stale = f"idat[{cells[0]}:{cells[-1] + 1}] != {name}"
+        else:
+            stale = " or ".join(
+                f"idat[{cell}] != {word}" for cell, word in zip(cells, words)
+            )
+        self.emit(f"if iv[{line}] and it[{line}] == {tag}:")
+        self.indent += "    "
+        self.emit(f"if {stale}:")
+        self.indent += "    "
+        self._exit(f"{at}", npc, index)
+        self.indent = self.indent[:-8]
+        self.emit("else:")
+        self.emit(f"    ic = core.icache; ic.misses += 1; ic.hits -= 1; "
+                  f"cy += {MISS_PENALTY}; ic._fill({line}, {tag}, {at})")
+
+    def _cti(self, op: _FastOp, index: int, at: int,
+             slot: Optional[_FastOp]) -> None:
+        handler = op.handler
+        if handler is _h_jmpl:
+            self.may_raise(at, f"{at + 4}")
+        self._fetch(index, at, f"{at + 4}")
+        if handler is _h_branch:
+            self.lat += op.latency
+            cond = op.cond
+            target = op.target
+            if op.annul and cond & 7 == 0:
+                # ba,a annuls its slot when taken, bn,a always does.
+                npc = target if cond == 8 else at + 8
+                self._exit(f"{at + 4}", f"{npc}", index + 1, annul=True)
+                return
+            if op.annul:
+                self.touches_icc = True
+                condition = _CONDITIONS[cond & 7]
+                self.emit(f"if not {condition}:" if cond & 8 else f"if {condition}:")
+                self.indent += "    "
+                lat, cwp = self.lat, self.cwp
+                self._instruction(slot, index + 1, at + 4, f"{target}")
+                self._exit(f"{target}", _plus4(f"{target}"), index + 2)
+                self.lat, self.cwp = lat, cwp
+                self.indent = self.indent[:-4]
+                self._exit(f"{at + 4}", f"{at + 8}", index + 1, annul=True)
+                return
+            if cond == 8:
+                npc = f"{target}"
+            elif cond == 0:
+                npc = f"{at + 8}"
+            else:
+                self.touches_icc = True
+                condition = _CONDITIONS[cond & 7]
+                if cond & 8:
+                    condition = f"not {condition}"
+                self.emit(f"nn = {target} if {condition} else {at + 8}")
+                npc = "nn"
+        elif handler is _h_call:
+            self.lat += op.latency
+            self.write(op.rd, f"{at}")
+            npc = f"{op.target}"
+        else:  # jmpl
+            first, second = self.operands(op)
+            self.emit(f"nn = {self.address(first, second)}")
+            self.emit("if nn & 3: raise IuTrap('memory', "
+                      "f'misaligned jump target {nn:#010x}')")
+            self.lat += op.latency
+            self.write(op.rd, f"{at}")
+            npc = "nn"
+        self._instruction(slot, index + 1, at + 4, npc)
+        self._exit(npc, _plus4(npc), index + 2)
+
+    def may_raise(self, at: int, npc: str) -> None:
+        self.raises = True
+        self.emit(f"k = {at}; kn = {npc}; kc = cy + {self.lat}")
+
+    # -- instructions ------------------------------------------------------
+
+    def _instruction(self, op: _FastOp, index: int, at: int, npc: str) -> None:
+        handler = op.handler
+        if handler in _RAISING_HANDLERS:
+            self.may_raise(at, npc)
+        self._fetch(index, at, npc)
+        emit = self.emit
+        if handler in _MEMORY_HANDLERS:
+            self._memory(op, index, npc)
+            return
+        if handler is _h_sethi:
+            self.lat += op.latency
+            self.write(op.rd, f"{op.value}")
+            return
+        if handler in _CALLED_HANDLERS:
+            self.reads.update(
+                _physical(reg, self.cwp, self.nwindows)
+                for reg in (op.rs1,) + (() if op.use_imm else (op.rs2,)) if reg
+            )
+            name = f"O{len(self.constants)}"
+            self.constants.append(op)
+            emit(f"{handler.__name__}(core, {name})")
+            if op.sets_icc:
+                emit("i_ = core.icc; n = i_.n; z = i_.z; v = i_.v; c = i_.c")
+            self.lat += op.latency
+            return
+        first, second = self.operands(op)
+        self.lat += op.latency
+        if handler in _ALU_RESULTS:
+            result = _ALU_RESULTS[handler]
+            if handler is _h_addx or handler is _h_subx:
+                self.touches_icc = True
+            if not op.sets_icc:
+                self.write(op.rd, result.format(a=first, b=second))
+                return
+            emit(f"a = {first}; b = {second}; y = {result.format(a='a', b='b')}")
+            emit("n = y >> 31; z = 0 if y else 1; "
+                 + _ICC_UPDATES.get(handler, "v = 0; c = 0"))
+            self.write(op.rd, "y")
+        elif handler is _h_umul or handler is _h_smul:
+            if handler is _h_umul:
+                emit(f"p = {first} * {second}")
+            else:
+                emit(f"p = (({first} ^ 0x80000000) - 0x80000000) * "
+                     f"(({second} ^ 0x80000000) - 0x80000000)")
+            emit(f"y = p & {_MASK}; core.y = (p >> 32) & {_MASK}")
+            if op.sets_icc:
+                emit("n = y >> 31; z = 0 if y else 1; v = 0; c = 0")
+            self.write(op.rd, "y")
+        elif handler is _h_save or handler is _h_restore:
+            emit(f"x = {self.address(first, second)}")
+            if handler is _h_save:
+                emit(f"if core._saved_depth >= {self.nwindows - 1}: "
+                     "raise RegisterWindowError('register window overflow')")
+                self.cwp = (self.cwp + 1) % self.nwindows
+                emit(f"core._saved_depth += 1; core.cwp = {self.cwp}")
+            else:
+                emit("if core._saved_depth <= 0: "
+                     "raise RegisterWindowError('register window underflow')")
+                self.cwp = (self.cwp - 1) % self.nwindows
+                emit(f"core._saved_depth -= 1; core.cwp = {self.cwp}")
+            self.write(op.rd, "x")
+        elif handler is _h_rd:
+            self.write(op.rd, "core.y")
+        else:  # wr
+            emit(f"core.y = {first} ^ {second}")
+
+    def _dcache_probe(self, address: str) -> None:
+        """Emit the data-cache lookup of *address* into the locals i/t/hit
+        (the probe and counters of :meth:`_FastCache.read_word`)."""
+        dcache = self.dcache
+        self.uses.add("dcache")
+        self.emit(f"i = ({address} >> {dcache.index_shift}) & {dcache.lines - 1}; "
+                  f"t = ({address} >> {dcache.tag_shift}) & 0x3FFFFF")
+
+    def _dcache_read(self, address: str, into: str) -> None:
+        dcache = self.dcache
+        self._dcache_probe(address)
+        self.emit("if dv[i] and dt[i] == t: dc.hits += 1")
+        self.emit(f"else: dc.misses += 1; cy += {MISS_PENALTY}; "
+                  f"dc._fill(i, t, {address})")
+        self.emit(f"{into} = dd[i * {dcache.words_per_line} + "
+                  f"(({address} >> 2) & {dcache.words_per_line - 1})]")
+
+    def _dcache_write(self, address: str, value: str) -> None:
+        """A word store through the write-through, no-allocate data cache
+        (:meth:`_FastCache.write_word` minus the code-page check, which the
+        caller emits once the instruction completes)."""
+        dcache = self.dcache
+        self.uses.add("mw")
+        self.emit(f"mw({address}, {value})")
+        self._dcache_probe(address)
+        self.emit(f"if dv[i] and dt[i] == t: dc.hits += 1; "
+                  f"dd[i * {dcache.words_per_line} + "
+                  f"(({address} >> 2) & {dcache.words_per_line - 1})] = {value}")
+        self.emit(f"else: dc.misses += 1; cy += {MISS_PENALTY}")
+
+    def _memory(self, op: _FastOp, index: int, npc: str) -> None:
+        handler = op.handler
+        emit = self.emit
+        size = op.access_size
+        first, second = self.operands(op)
+        if handler is _h_store or handler is _h_std:
+            data = self.read(op.rd)
+            if handler is _h_std:
+                low = self.read((op.rd & ~1) | 1)
+        emit(f"a = {self.address(first, second)}")
+        if size != 1:
+            emit(f"if a & {size - 1}: raise IuTrap('memory', "
+                 "f'misaligned access at {a:#010x}')")
+        self.lat += op.latency
+        self.uses.add("tx")
+        if handler is _h_load:
+            emit(f"if a >= {IO_BASE}:")
+            emit(f"    x = 0; tx.append(OCT('io', a, 0, {size})); "
+                 f"tc.append(cy + {self.lat})")
+            emit("else:")
+            self.indent += "    "
+            self._dcache_read("a", "x")
+            if size == 2:
+                emit("x = (x >> ((2 - (a & 3)) << 3)) & 0xFFFF")
+            elif size == 1:
+                emit("x = (x >> ((3 - (a & 3)) << 3)) & 0xFF")
+            self.indent = self.indent[:-4]
+            if op.sign_extend_load and size != 4:
+                sign = 1 << (size * 8 - 1)
+                emit(f"if x & {sign}: x = (x - {sign << 1}) & {_MASK}")
+            self.write(op.rd, "x")
+            return
+        if handler is _h_ldd:
+            self._dcache_read("a", "hi")
+            emit("a4 = a + 4")
+            self._dcache_read("a4", "lo")
+            even = op.rd & ~1
+            self.write(even, "hi")
+            self.write(even | 1, "lo")
+            return
+        # Stores: rs1, rs2 and the data registers were read above, in the
+        # handlers' order.
+        emit(f"x = {data}" + {1: " & 0xFF", 2: " & 0xFFFF"}.get(size, ""))
+        emit(f"if a >= {IO_BASE}:")
+        self.indent += "    "
+        if handler is _h_std:
+            emit(f"lo = {low}")
+            emit("tx.append(OCT('io', a, x, 4)); tx.append(OCT('io', a + 4, lo, 4))")
+            self.stamp(2)
+        else:
+            emit(f"tx.append(OCT('io', a, x, {size}))")
+            self.stamp()
+        self.indent = self.indent[:-4]
+        emit("else:")
+        self.indent += "    "
+        if handler is _h_std:
+            emit(f"lo = {low}")
+            self._dcache_write("a", "x")
+            emit("tx.append(OCT('store', a, x, 4))")
+            emit("a4 = a + 4")
+            self._dcache_write("a4", "lo")
+            emit("tx.append(OCT('store', a4, lo, 4))")
+            self.stamp(2)
+        else:
+            if size == 4:
+                self._dcache_write("a", "x")
+            else:
+                # Sub-word stores merge into the memory word, then store it.
+                self.uses.add("mr")
+                mask = 0xFFFF if size == 2 else 0xFF
+                emit(f"a4 = a & 0xFFFFFFFC; s = ({4 - size} - (a & 3)) << 3")
+                emit(f"y = (mr(a4) & ~({mask} << s)) | (x << s)")
+                self._dcache_write("a4", "y")
+            emit(f"tx.append(OCT('store', a, x, {size}))")
+            self.stamp()
+        # A store into a code page drops that page's decodes and blocks —
+        # possibly this one — so the block ends right after it.
+        self.uses.add("cp")
+        emit(f"if (a >> {PAGE_SHIFT}) in cp:")
+        self.indent += "    "
+        emit(f"core._invalidate_code_page(a >> {PAGE_SHIFT})")
+        self._exit(npc, _plus4(npc), index + 1)
+        self.indent = self.indent[:-8]
+
+    # -- assembly ----------------------------------------------------------
+
+    def source(self) -> str:
+        uses = self.uses
+        prologue = []
+        if self.hooked:
+            prologue.append("h = core._rf_fault.read")
+        if self.touches_icc:
+            prologue.append("i_ = core.icc; n = i_.n; z = i_.z; v = i_.v; c = i_.c")
+        if "dcache" in uses:
+            prologue.append("dc = core.dcache; dv = dc.valid; dt = dc.tags; dd = dc.data")
+        if "mr" in uses:
+            prologue.append("mr = core.memory.read_word")
+        if "mw" in uses:
+            prologue.append("mw = core.memory.write_word")
+        if "tx" in uses:
+            prologue.append("tx = core.transactions")
+        if "cp" in uses:
+            prologue.append("cp = core._code_pages")
+        closure = ", ".join(
+            f"{'O' if isinstance(constant, _FastOp) else 'W'}{i}"
+            for i, constant in enumerate(self.constants)
+        )
+        head = [f"def _make({closure}):",
+                "    def _block(core, rf, iv, it, idat, cy, tc):"]
+        head += ["        " + line for line in prologue]
+        if not self.raises:
+            # Body lines are indented for the ``try`` suite; without one they
+            # move out a level.
+            body = [line[4:] for line in self.lines]
+        else:
+            body = ["        try:"] + self.lines + [
+                "        except BaseException:",
+                "            core.pc = k; core.npc = kn; core.cycle = kc",
+                "            raise",
+            ]
+            if self.writes_icc:
+                body.insert(-2, "            core.icc = CC(n, z, v, c)")
+        return "\n".join(head + body + ["    return _block", ""])
+
+    def build(self) -> Callable:
+        namespace: Dict[str, Callable] = {}
+        exec(compile(self.source(), "<rtl-block>", "exec"), _BLOCK_GLOBALS, namespace)
+        return namespace["_make"](*self.constants)
+
+
 class _RtlRunState:
     """Mutable per-run accumulators of the fast engine's segmented loop.
 
@@ -830,6 +1467,15 @@ class Leon3FastCore:
         self._mem_snapshot: Optional[Dict[int, bytes]] = None
         self._op_cache: Dict[int, _FastOp] = {}
         self._code_pages: Dict[int, Set[int]] = {}
+        #: Plain and hooked (see :meth:`_block_mode`) per-CWP maps of block
+        #: entry PC -> compiled block, pending block, or ``None`` where no
+        #: block starts.
+        self._blocks: Tuple[List[Dict[int, Any]], ...] = tuple(
+            [{} for _ in range(nwindows)] for _ in range(2)
+        )
+        #: Code page -> the (hooked, cwp, pc) block entries with an
+        #: instruction on it.
+        self._block_pages: Dict[int, Set[Tuple[int, int, int]]] = {}
         self._rf_fault: Optional[_ArrayHook] = None
         self._array_states: Dict[str, _ArrayHook] = {}
         self._watching = False
@@ -839,6 +1485,8 @@ class Leon3FastCore:
         #: Decode specialisations built (one per distinct PC between
         #: invalidations) — observable for tests and diagnostics.
         self.decode_fills = 0
+        #: Instructions this core ran inside compiled blocks, over all runs.
+        self.block_instructions = 0
 
     # -- reference-core views -----------------------------------------------------
 
@@ -1004,13 +1652,23 @@ class Leon3FastCore:
         self.reset()
 
     def _flush_op_cache(self) -> None:
+        """Drop every specialisation and block."""
         self._op_cache.clear()
         self._code_pages.clear()
+        for flavour in self._blocks:
+            for blocks in flavour:
+                blocks.clear()
+        self._block_pages.clear()
 
     def _invalidate_code_page(self, page: int) -> None:
+        """Drop the specialisations and blocks on *page* (a store changed
+        it, or a reload/restore replaced it)."""
         cache = self._op_cache
         for cached_pc in self._code_pages.pop(page):
             cache.pop(cached_pc, None)
+        blocks = self._blocks
+        for hooked, cwp, block_pc in self._block_pages.pop(page, ()):
+            blocks[hooked][cwp].pop(block_pc, None)
 
     # -- checkpoint capture / restore ---------------------------------------------
     #
@@ -1081,20 +1739,16 @@ class Leon3FastCore:
         icache = self.icache
         dcache = self.dcache
         hasher = hashlib.sha256()
-        hasher.update(
-            repr(
-                (
-                    self.cells, self._saved_depth, self.cwp,
-                    self.icc.as_bits(), self.y, self.pc, self.npc,
-                    self._annul_next,
-                    (icache.tags, icache.data, icache.valid,
-                     icache.hits, icache.misses),
-                    (dcache.tags, dcache.data, dcache.valid,
-                     dcache.hits, dcache.misses),
-                    self.bus_reads, state.cycles,
-                )
-            ).encode()
-        )
+        # Fixed-width words: the lists' lengths are fixed by the geometry,
+        # so the concatenation is injective (and far cheaper than a repr).
+        for words in (
+            self.cells, icache.tags, icache.data, icache.valid,
+            dcache.tags, dcache.data, dcache.valid,
+            (self._saved_depth, self.cwp, self.icc.as_bits(), self.y, self.pc,
+             self.npc, self._annul_next, icache.hits, icache.misses,
+             dcache.hits, dcache.misses, self.bus_reads, state.cycles),
+        ):
+            hasher.update(array("Q", words).tobytes())
         snapshot = self._mem_snapshot or {}
         for index in sorted(self.memory._pages):
             page = self.memory._pages[index]
@@ -1248,6 +1902,133 @@ class Leon3FastCore:
         self.decode_fills += 1
         return op
 
+    # -- block translation --------------------------------------------------------
+
+    def _block_op(self, pc: int) -> Optional[_FastOp]:
+        """The op a block may use at *pc*: the cached one when it was built
+        from the memory word, else a new one; ``None`` when the cached op
+        came from another fetched word (a stale line or a faulted fetch,
+        which the per-instruction loop handles) or the word does not decode.
+        """
+        op = self._op_cache.get(pc)
+        if op is None:
+            try:
+                return self._build_op(pc, self.memory.read_word(pc))
+            except IuTrap:
+                return None
+        return op if op.from_memory else None
+
+    def _translate(self, pc: int, hooked: int) -> Optional[_RtlBlock]:
+        """Look up the block entered at *pc* in the current window; ``None``
+        to step this entry.
+
+        The block is the run of instructions from *pc* the block compiler
+        handles, up to a CTI plus its delay slot or :data:`_BLOCK_CAP`
+        instructions.  A memoized block is used at once; a new one waits as
+        a :class:`_Pending` entry (see :meth:`_visit`).  The answer — a
+        block, a pending entry, or ``None`` when the instruction at *pc*
+        itself ends a block — is cached per (flavour, cwp, pc) and
+        registered on every code page the block covers, so stores there
+        drop it.
+        """
+        cwp = self.cwp
+        ops = self._block_ops(pc)
+        block: Union[_RtlBlock, _Pending, None] = None
+        if ops:
+            icache, dcache = self.icache, self.dcache
+            key = (
+                pc, cwp, self.nwindows, hooked,
+                icache.lines, icache.words_per_line,
+                dcache.lines, dcache.words_per_line,
+                tuple(op.key for op in ops),
+            )
+            block = _BLOCK_MEMO.get(key)
+            if block is None:
+                block = _Pending(key, ops, _BLOCK_HEAT.setdefault(key, [0]))
+        self._blocks[hooked][cwp][pc] = block
+        last = pc + 4 * max(len(ops) - 1, 0)
+        for page in range(pc >> PAGE_SHIFT, (last >> PAGE_SHIFT) + 1):
+            self._block_pages.setdefault(page, set()).add((hooked, cwp, pc))
+        return self._visit(pc, hooked, block) if type(block) is _Pending else block
+
+    def _visit(self, pc: int, hooked: int, pending: "_Pending") -> Optional[_RtlBlock]:
+        """Count an entry of a block not compiled yet; compile it on its
+        key's :data:`_COMPILE_AFTER`-th entry, counted process-wide
+        (compiling costs about what a hundred block runs save, so cold code
+        keeps stepping), else ``None`` to step this entry."""
+        heat = pending.heat
+        heat[0] += 1
+        if heat[0] < _COMPILE_AFTER:
+            return None
+        key = pending.key
+        # Another core may have compiled it since.
+        block = _BLOCK_MEMO.get(key)
+        if block is None:
+            _BLOCK_HEAT.pop(key, None)
+            compiler = _RtlBlockCompiler(self, pending.ops, pc, bool(hooked))
+            block = _BLOCK_MEMO[key] = _RtlBlock(
+                compiler.build(), pending.ops, compiler.reads, len(compiler.probes)
+            )
+        self._blocks[hooked][self.cwp][pc] = block
+        return block
+
+    def _block_ops(self, pc: int) -> List[_FastOp]:
+        """The ops of the block entered at *pc* (empty when none starts)."""
+        ops: List[_FastOp] = []
+        at = pc
+        while len(ops) < _BLOCK_CAP and not at & 3 and at < _U32 - 8:
+            op = self._block_op(at)
+            if op is None or op.handler not in _BLOCK_HANDLERS:
+                break
+            if op.handler in _CTI_HANDLERS:
+                if op.handler is _h_branch and op.annul and op.cond & 7 == 0:
+                    ops.append(op)  # ba,a / bn,a: the slot never executes
+                elif len(ops) + 2 <= _BLOCK_CAP:
+                    slot = self._block_op(at + 4)
+                    if (slot is not None and slot.handler in _BLOCK_HANDLERS
+                            and slot.handler not in _CTI_HANDLERS):
+                        ops += (op, slot)
+                break
+            ops.append(op)
+            at += 4
+        return ops
+
+    def _block_mode(self) -> Optional[Tuple[int, Optional[list]]]:
+        """How this run may use blocks: ``None`` for not at all, else
+        (hooked, guards).
+
+        Blocks need a plain fetch and data path, so any cache hook keeps the
+        per-instruction loop, as does a detailed trace.  A register-file
+        watch, or a fault set with an open line (both consume every read's
+        ``last_read``), enters *hooked* blocks, which route each read through
+        the hook in reference order.  Stuck-at and transient faults ignore
+        ``last_read``: their run enters plain blocks, under *guards* of
+        (cell, start, end) — a block that reads a guarded cell is entered
+        only when the fault cannot be active during it (see
+        :meth:`run_segment`).  A transient together with an open line steps.
+        """
+        if self.detailed_trace:
+            return None
+        for cache in (self.icache, self.dcache):
+            if (cache.tag_fault is not None or cache.data_fault is not None
+                    or cache.valid_fault is not None):
+                return None
+        hook = self._rf_fault
+        if hook is None:
+            return 0, None
+        if isinstance(hook, _ArrayWatch):
+            return 1, None
+        faults = [(cell, fault) for cell, cell_faults in hook.by_cell.items()
+                  for fault in cell_faults]
+        transient = any(isinstance(fault, TransientFault) for _, fault in faults)
+        if any(fault.model is FaultModel.OPEN_LINE for _, fault in faults):
+            return None if transient else (1, None)
+        return 0, [
+            (cell, fault.start_cycle, fault.end_cycle)
+            if isinstance(fault, TransientFault) else (cell, -1, _FOREVER)
+            for cell, fault in faults
+        ]
+
     # -- execution ----------------------------------------------------------------
 
     def run(self, max_instructions: int = 200_000) -> RtlExecutionResult:
@@ -1334,6 +2115,22 @@ class Leon3FastCore:
         ic_lines_mask = icache.lines - 1
         ic_wpl = icache.words_per_line
         ic_wpl_mask = ic_wpl - 1
+        # Block path (see "Block path" in the module docstring).
+        mode = self._block_mode()
+        use_blocks = mode is not None
+        blocks = self._blocks[mode[0]] if use_blocks else ()
+        guards = mode[1] if use_blocks else None
+        cells = self.cells
+        in_blocks = 0
+        #: True where a block may start a run of straight-line code: the
+        #: segment's first instruction, a block's exit, a branch target.
+        #: Only there is a missing block translated; inside code that steps
+        #: (cold, or after a non-block instruction) compiled blocks are still
+        #: entered, but no new ones are looked for.
+        leader = True
+        #: (block, instructions ran) -> times, folded into counts at the end.
+        exits: Dict[Tuple[_RtlBlock, int], int] = {}
+        exits_get = exits.get
 
         while executed < budget:
             self.cycle = cycles
@@ -1345,6 +2142,64 @@ class Leon3FastCore:
                 self.npc = (self.npc + 4) & _U32
                 continue
             pc = self.pc
+            if use_blocks and (sequential := self.npc == pc + 4):
+                block = blocks[self.cwp].get(pc, _UNTRANSLATED)
+                if block is _UNTRANSLATED:
+                    block = self._translate(pc, mode[0]) if leader else None
+                elif type(block) is _Pending:
+                    block = self._visit(pc, mode[0], block)
+                if block is not None:
+                    if executed + block.length > budget:
+                        # The budget ends inside this block: the few
+                        # remaining instructions step one at a time.
+                        use_blocks = False
+                        block = None
+                    elif guards is not None:
+                        # A guarded cell the block reads must be inactive
+                        # for the whole block: a closed transient window, or
+                        # one that opens after the block's last cycle.
+                        for cell, start, end in guards:
+                            if (cell in block.reads and cycles < end
+                                    and cycles + block.max_cycles > start):
+                                block = None
+                                break
+                if block is not None:
+                    error = None
+                    try:
+                        ran = block.run(self, cells, ic_valid, ic_tags, ic_data,
+                                        cycles, transaction_cycles)
+                    except _TRAP_ERRORS as exc:
+                        # The trapping instruction was fetched, not completed.
+                        ran = (self.pc - pc) >> 2
+                        icache.hits += 1
+                        error = exc
+                    if ran:
+                        executed += ran
+                        in_blocks += ran
+                        icache.hits += ran
+                        cycles = self.cycle
+                        misses_before = icache.misses + dcache.misses
+                        stamped = len(transaction_cycles)
+                        key = (block, ran)
+                        seen = exits_get(key)
+                        if seen is None:
+                            exits[key] = 1
+                            # Claim the mnemonics' first-execution order now;
+                            # their counts fold in after the loop.
+                            for mnemonic, _ in block.histogram(ran):
+                                if mnemonic not in counts:
+                                    counts[mnemonic] = 0
+                        else:
+                            exits[key] = seen + 1
+                    if error is not None:
+                        cycles = self.cycle
+                        trap_kind = _trap_kind(error)
+                        halted = True
+                        break
+                    if ran:
+                        leader = True
+                        continue
+                    # A stale line at the block's entry: step it singly.
             try:
                 if pc & 3:
                     raise IuTrap("memory", f"misaligned fetch at {pc:#010x}")
@@ -1363,20 +2218,8 @@ class Leon3FastCore:
                 if op is None or op.word != word:
                     op = self._build_op(pc, word)
                 outcome = op.handler(self, op)
-            except IuTrap as trap:
-                trap_kind = trap.kind
-                halted = True
-                break
-            except RegisterWindowError:
-                trap_kind = "window"
-                halted = True
-                break
-            except MemoryError_:
-                trap_kind = "memory"
-                halted = True
-                break
-            except ZeroDivisionError:
-                trap_kind = "division_by_zero"
+            except _TRAP_ERRORS as exc:
+                trap_kind = _trap_kind(exc)
                 halted = True
                 break
 
@@ -1398,6 +2241,8 @@ class Leon3FastCore:
                 transaction_cycles.append(cycles)
                 stamped += 1
 
+            if use_blocks:
+                leader = outcome is not None or not sequential
             if outcome is None:
                 self.pc = self.npc
                 self.npc = (self.npc + 4) & _U32
@@ -1410,6 +2255,10 @@ class Leon3FastCore:
                 exit_code = outcome
                 break
 
+        for (block, ran), times in exits.items():
+            for mnemonic, count in block.histogram(ran):
+                counts[mnemonic] += count * times
+        self.block_instructions += in_blocks
         state.cycles = cycles
         state.executed += executed
         state.stamped = stamped

@@ -527,6 +527,434 @@ class TestNativeNetFaults:
         assert not core.uses_fallback
 
 
+def _blocked_pair(program, faults=(), max_instructions=400_000, **core_kwargs):
+    """Run *program* under *faults* on a fresh reference and a fresh fast
+    core, assert bit-identity, and return the fast result and core (whose
+    ``block_instructions`` shows whether blocks ran)."""
+    reference_core = Leon3Core(**core_kwargs)
+    reference_core.load_program(program)
+    reference_core.inject(list(faults))
+    reference = reference_core.run(max_instructions=max_instructions)
+    fast_core = Leon3FastCore(**core_kwargs)
+    fast_core.load_program(program)
+    fast_core.inject(list(faults))
+    fast = fast_core.run(max_instructions=max_instructions)
+    assert_rtl_results_identical(reference_core, reference, fast_core, fast)
+    return fast, fast_core
+
+
+def _read_cells(program, limit=None):
+    """Register cells *program* reads with a value other than 0, busiest
+    first (a watched fault-free run)."""
+    core = Leon3FastCore()
+    core.load_program(program)
+    reads = core.watch(
+        core.netlist.site_for("rf.cells", 0, index=index)
+        for index in range(len(core.cells))
+    )
+    core.run(max_instructions=400_000)
+    cells = [cell for (_, cell), summary in reads.items()
+             if summary.ored or summary.changed]
+    return cells[:limit]
+
+
+def _patch_word():
+    from repro.isa import encoding
+    from repro.isa.encoding import OP_ARITH
+
+    return encoding.Format3Imm(
+        op=OP_ARITH, op3=0x02, rd=8, rs1=0, simm13=7
+    ).encode()  # or %g0, 7, %o0
+
+
+class TestBlockPath:
+    """Straight-line code runs as compiled blocks (``run_segment``'s block
+    path); every case is checked against the reference core and shows that
+    blocks were entered.  Blocks compile on their first entry here, so even
+    code that runs once takes the block path."""
+
+    @pytest.fixture(autouse=True)
+    def _compile_at_once(self, monkeypatch):
+        from repro.leon3 import fastcore
+
+        monkeypatch.setattr(fastcore, "_COMPILE_AFTER", 1)
+
+    def test_new_blocks_compile_once_hot(self, monkeypatch):
+        from repro.leon3 import fastcore
+
+        monkeypatch.setattr(fastcore, "_COMPILE_AFTER", 3)
+        # Shifted by one instruction: code no other test runs, so the memo
+        # and the entry counts start empty.
+        source = SMALL_PROGRAM_SOURCE.replace("start:\n", "start:\n        nop\n")
+        program = assemble(source, name="small-heat")
+        loop = program.symbols["loop"]
+        _, core = _blocked_pair(program)
+        # The loop head is entered once per iteration after the first
+        # (which runs inside the straight-line entry code): it compiled on
+        # its third entry; the entry block, entered once, still waits.
+        assert core._blocks[0][0][loop] is not None
+        assert type(core._blocks[0][0][program.entry_point]) is fastcore._Pending
+        assert core.block_instructions == 7 * 5
+        # A fresh core uses the memoized block from its first entry on.
+        _, again = _blocked_pair(program)
+        assert again._blocks[0][0][loop] is core._blocks[0][0][loop]
+        assert again.block_instructions == 9 * 5
+
+    @pytest.mark.parametrize("name", sorted(all_workloads()))
+    def test_registry_fault_free(self, name):
+        fast, core = _blocked_pair(all_workloads()[name].build())
+        assert fast.normal_exit
+        # Everything but the final ``ta 0`` and the entry's cold steps.
+        assert core.block_instructions > 0.9 * fast.instructions
+
+    def test_memo_serves_a_fresh_core_and_keeps_word_faults_apart(self):
+        from repro.leon3 import fastcore
+
+        program = build_program("intbench")
+        _, clean = _blocked_pair(program)
+        memo = len(fastcore._BLOCK_MEMO)
+        _, again = _blocked_pair(program)
+        assert len(fastcore._BLOCK_MEMO) == memo  # no re-translation
+        assert again._blocks[0][0] == clean._blocks[0][0]
+        fault = PermanentFault(
+            site=FaultSite(net="iu.de.rd", bit=0, unit="iu.decode"),
+            model=FaultModel.STUCK_AT_1,
+        )
+        _, faulted = _blocked_pair(program, [fault], 8_000)
+        assert faulted.block_instructions
+        blocks = faulted._blocks[0][0]
+        assert any(
+            block is not None and block is not clean._blocks[0][0].get(pc)
+            for pc, block in blocks.items()
+        )  # faulted ops, own blocks
+
+    @pytest.mark.parametrize("net, bit", [
+        ("iu.de.rd", 1), ("iu.de.rs1", 0), ("iu.de.imm", 2), ("iu.de.cond", 3),
+        ("iu.de.op3", 1), ("iu.fe.inst", 13), ("iu.de.use_imm", 0),
+    ])
+    def test_word_net_faults(self, net, bit):
+        program = build_program("intbench")
+        entered = 0
+        for model in ALL_FAULT_MODELS:
+            fault = PermanentFault(
+                site=FaultSite(net=net, bit=bit, unit="iu.decode"), model=model
+            )
+            _, core = _blocked_pair(program, [fault], 8_000)
+            assert not core.uses_fallback
+            entered += core.block_instructions
+        assert entered
+
+    @pytest.mark.parametrize("model", ALL_FAULT_MODELS, ids=lambda m: m.value)
+    def test_register_file_permanent_faults(self, model):
+        program = build_program("intbench")
+        entered = 0
+        for cell in _read_cells(program, limit=6):
+            for bit in (0, 5, 31):
+                site = FaultSite(net="rf.cells", bit=bit, unit="iu.regfile",
+                                 index=cell)
+                _, core = _blocked_pair(
+                    program, [PermanentFault(site=site, model=model)], 8_000
+                )
+                entered += core.block_instructions
+        assert entered
+
+    def test_register_file_transient_windows_open_mid_block(self):
+        program = assemble(SMALL_PROGRAM_SOURCE, name="small")
+        golden, _ = _blocked_pair(program)
+        # Every start cycle of the run: windows open at every position
+        # inside the loop's blocks, which read %l2 and %l3.
+        cell = physical_register_index(19, cwp=0, nwindows=8)  # %l3
+        entered = acted = 0
+        for start in range(golden.cycles):
+            for duration in (1, 9):
+                fault = TransientFault(
+                    site=FaultSite(net="rf.cells", bit=2, unit="iu.regfile",
+                                   index=cell),
+                    start_cycle=start, duration=duration,
+                )
+                fast, core = _blocked_pair(program, [fault], 1_000)
+                entered += core.block_instructions
+                acted += fast.transactions != golden.transactions
+        assert entered and acted
+
+    def test_transient_and_open_line_together_step(self):
+        program = build_program("intbench")
+        cell = _read_cells(program, limit=1)[0]
+        site = FaultSite(net="rf.cells", bit=1, unit="iu.regfile", index=cell)
+        _, core = _blocked_pair(program, [
+            PermanentFault(site=site, model=FaultModel.OPEN_LINE),
+            TransientFault(site=site, start_cycle=200, duration=50),
+        ], 8_000)
+        assert core.block_instructions == 0
+
+    @pytest.mark.parametrize("name", ["intbench", "rspeed", "membench"])
+    def test_watched_golden_equals_the_stepped_watch(self, name, monkeypatch):
+        program = build_program(name)
+        summaries = []
+        for blocks in (True, False):
+            if not blocks:
+                monkeypatch.setattr(Leon3FastCore, "_block_mode", lambda self: None)
+            core = Leon3FastCore()
+            core.load_program(program)
+            reads = core.watch(
+                core.netlist.site_for("rf.cells", 0, index=index)
+                for index in range(len(core.cells))
+            )
+            result = core.run(max_instructions=400_000)
+            summaries.append((reads, result, core.block_instructions))
+        (blocked, result, entered), (stepped, expected, none) = summaries
+        assert entered and not none
+        assert result == expected
+        assert blocked == stepped
+
+    @pytest.mark.parametrize("array", ["icache.tags", "dcache.data"])
+    def test_cache_hooks_keep_the_per_instruction_loop(self, array):
+        program = build_program("intbench")
+        site = FaultSite(net=array, bit=0, unit="cmem", index=1)
+        _, core = _blocked_pair(
+            program, [PermanentFault(site=site, model=FaultModel.STUCK_AT_1)], 8_000
+        )
+        assert core.block_instructions == 0
+
+    def test_store_rewrites_a_later_instruction_of_its_block(self):
+        # The store ends its block; the patched word is in a cached line, so
+        # the stale instruction runs (the block's line check steps it).
+        source = f"""
+        .text
+        set     patch, %o3
+        set     {_patch_word():#010x}, %o4
+        set     out, %l1
+        st      %o4, [%o3]
+patch:
+        mov     1, %o0
+        st      %o0, [%l1]
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        fast, core = _blocked_pair(assemble(source, name="selfmod-block"))
+        assert fast.transactions[-1].value == 1
+        assert core.block_instructions
+
+    def test_store_rewrites_its_delay_slot(self):
+        # The store ends its block, whose delay slot it patches.
+        source = f"""
+        .text
+        set     patch, %o3
+        set     {_patch_word():#010x}, %o4
+        set     out, %l1
+        mov     2, %o0
+        st      %o4, [%o3]
+        ba      done
+patch:
+        mov     1, %o0
+done:
+        st      %o0, [%l1]
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        fast, core = _blocked_pair(assemble(source, name="selfmod-slot"))
+        # The slot's line is not cached yet: the refill reads the patch.
+        assert fast.transactions[-1].value == 7
+        assert core.block_instructions
+
+    def test_stale_line_steps_until_an_eviction_refills_it(self):
+        # Pass 1 runs the loop head from a cached line and patches it; pass 2
+        # runs the stale word, then calls a routine whose line evicts the
+        # patched one, so pass 3 fetches the patch.
+        head = f"""
+        .text
+        set     patch, %o3
+        set     {_patch_word():#010x}, %o4
+        set     out, %l1
+        mov     0, %o5
+loop:
+patch:
+        mov     1, %o0
+        st      %o0, [%l1]
+        cmp     %o5, 2
+        be      done
+        nop
+        cmp     %o5, 1
+        bne     skip
+        nop
+        call    evict
+        nop
+skip:
+        inc     %o5
+        st      %o4, [%o3]
+        ba      loop
+        nop
+done:
+        ta      0
+"""
+        tail = """
+evict:
+        retl
+        nop
+        .data
+out:
+        .space  8
+"""
+        probe = assemble(head + tail, name="stale-line")
+        line_span = 32 * 32  # icache lines x line bytes
+        pad = ((probe.symbols["patch"] - probe.symbols["evict"]) % line_span) // 4
+        program = assemble(head + "        nop\n" * pad + tail, name="stale-line")
+        fast, core = _blocked_pair(program)
+        assert [t.value for t in fast.transactions if t.value in (1, 7)] == [1, 1, 7]
+        assert core.block_instructions
+
+    def test_ops_from_a_stale_fetch_stay_out_of_blocks(self):
+        # Pass 1 patches `patch` and re-runs it from the stale line, which
+        # caches an op of the old word; pass 2 evicts the line and enters at
+        # `entry`, so a block over `patch` refills the line from memory and
+        # must run the new word.
+        head = f"""
+        .text
+        set     patch, %o3
+        set     {_patch_word():#010x}, %o4
+        set     out, %l1
+        mov     0, %o5
+entry:
+        nop
+patch:
+        mov     1, %o0
+        st      %o0, [%l1]
+        inc     %o5
+        cmp     %o5, 1
+        bne     second
+        nop
+        st      %o4, [%o3]
+        ba      patch
+        nop
+second:
+        cmp     %o5, 2
+        bne     done
+        nop
+        call    evict
+        nop
+        ba      entry
+        nop
+done:
+        ta      0
+"""
+        tail = """
+evict:
+        retl
+        nop
+        .data
+out:
+        .space  8
+"""
+        probe = assemble(head + tail, name="stale-op")
+        pad = ((probe.symbols["patch"] - probe.symbols["evict"]) % (32 * 32)) // 4
+        program = assemble(head + "        nop\n" * pad + tail, name="stale-op")
+        fast, core = _blocked_pair(program)
+        assert [t.value for t in fast.transactions if t.value in (1, 7)] == [1, 1, 7]
+        assert core.block_instructions
+
+    def test_detailed_traces_step(self):
+        program = assemble(SMALL_PROGRAM_SOURCE, name="small")
+        fast, core = _blocked_pair(program, detailed_trace=True)
+        assert fast.trace.records
+        assert core.block_instructions == 0
+
+    @pytest.mark.parametrize("name", ["intbench", "rspeed"])
+    def test_budget_ending_inside_a_block(self, name):
+        program = build_program(name)
+        for budget in list(range(1, 70)) + [333, 1000]:
+            _, core = _blocked_pair(program, max_instructions=budget)
+            if budget > 40:
+                assert core.block_instructions
+
+    @pytest.mark.parametrize("name", ["small", "intbench"])
+    def test_segment_slices_at_every_boundary_equal_one_run(self, name):
+        from repro.leon3.fastcore import _core_state
+
+        program = (assemble(SMALL_PROGRAM_SOURCE, name="small") if name == "small"
+                   else build_program(name))
+        whole, whole_core = _blocked_pair(program)
+        for size in range(1, 40):
+            core = Leon3FastCore()
+            core.load_program(program)
+            state = core.begin_run()
+            while not state.halted and state.executed < 400_000:
+                core.run_segment(state, min(size, 400_000 - state.executed))
+            assert core.finish_run(state) == whole, size
+            assert _core_state(core) == _core_state(whole_core), size
+            assert core.block_instructions or size < 5
+
+    @pytest.mark.parametrize("branch", ["be", "bne"])
+    def test_misaligned_load_in_a_delay_slot(self, branch):
+        source = f"""
+        .text
+        set     out, %l1
+        add     %l1, 1, %l2
+        cmp     %g0, 0
+        {branch}      target
+        ld      [%l2], %o0
+        nop
+target:
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        program = assemble(source, name="slot-trap")
+        fast, core = _blocked_pair(program)
+        assert fast.trap_kind == "memory"
+        slot = program.symbols["target"] - 8
+        assert core.pc == slot
+        assert core.npc == (program.symbols["target"] if branch == "be" else slot + 4)
+        assert core.block_instructions  # the block ran up to the slot
+
+    @pytest.mark.parametrize("body, kind", [
+        ("        save    %sp, -96, %sp\n        add     %g1, 1, %g1\n" * 8,
+         "window"),
+        ("        mov     1, %o0\n        subcc   %o0, 2, %g0\n"
+         "        restore %o0, 1, %o1\n", "window"),
+        ("        mov     5, %o0\n        mov     0, %o1\n"
+         "        wr      %g0, %g0, %y\n        subcc   %o0, 6, %g0\n"
+         "        udiv    %o0, %o1, %o2\n", "division_by_zero"),
+        ("        set     3, %o0\n        add     %o0, 4, %o1\n"
+         "        jmpl    %o0, 0, %g0\n        nop\n", "memory"),
+        ("        set     out, %l1\n        st      %l1, [%l1]\n"
+         "        sth     %l1, [%l1 + 1]\n", "memory"),
+    ], ids=["save-overflow", "restore-underflow", "udiv-zero", "jmpl-misaligned",
+            "misaligned-store"])
+    def test_traps_mid_block(self, body, kind):
+        # A cold line first: the trap follows a miss inside the same block.
+        source = (".text\n        ba      start\n        nop\nstart:\n" + body
+                  + "        mov     3, %o3\n        ta      0\n"
+                  ".data\nout:\n        .space  8\n")
+        fast, core = _blocked_pair(assemble(source, name="trap"), max_instructions=100)
+        assert fast.trap_kind == kind
+        assert core.block_instructions
+
+    @pytest.mark.parametrize("body", [
+        "        ba,a    target\n        mov     1, %o0\ntarget:\n",
+        "        bn,a    target\n        mov     1, %o0\ntarget:\n",
+        "        cmp     %o0, 0\n        bne,a   target\n        mov     1, %o0\n"
+        "target:\n",
+        "        cmp     %o0, 0\n        be,a    target\n        mov     1, %o0\n"
+        "target:\n",
+    ], ids=["ba,a", "bn,a", "untaken-bne,a", "taken-be,a"])
+    def test_annulled_slots_at_every_budget(self, body):
+        source = (".text\n        mov     0, %o0\n        mov     2, %o1\n" + body
+                  + "        add     %o0, %o1, %o2\n        set     out, %l1\n"
+                  "        st      %o2, [%l1]\n        ta      0\n"
+                  ".data\nout:\n        .space  8\n")
+        program = assemble(source, name="annul")
+        entered = 0
+        for budget in range(1, 14):
+            _, core = _blocked_pair(program, max_instructions=budget)
+            entered += core.block_instructions
+        assert entered
+
+
 class TestResultTransparency:
     """Open-line outcomes must not depend on what ran before on the backend.
 

@@ -1,6 +1,8 @@
 """Tests for the fault-injection framework (comparison, injector, campaign)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faultinjection.campaign import (
     CampaignConfig,
@@ -8,7 +10,11 @@ from repro.faultinjection.campaign import (
     run_cmem_campaign,
     run_iu_campaign,
 )
-from repro.faultinjection.comparison import FailureClass, compare_runs
+from repro.faultinjection.comparison import (
+    FailureClass,
+    _first_divergence,
+    compare_runs,
+)
 from repro.faultinjection.injector import FaultInjector
 from repro.faultinjection.models import faults_for_sites
 from repro.faultinjection.results import CampaignResult, InjectionOutcome
@@ -162,6 +168,62 @@ class TestComparisonEdgeCases:
         golden = run_program_rtl(program, max_instructions=100_000)
         comparison = compare_runs(golden, golden)
         assert comparison.failure_class is FailureClass.NO_EFFECT
+
+
+def _per_element_divergence(golden, faulty):
+    """The classifier's first-divergence rule, one field comparison per
+    position (the reference for the identity fast path)."""
+    for index, (expected, observed) in enumerate(zip(golden, faulty)):
+        if not expected.matches(observed):
+            return index
+    if len(golden) != len(faulty):
+        return min(len(golden), len(faulty))
+    return None
+
+
+_transactions = st.lists(
+    st.builds(
+        OffCoreTransaction,
+        kind=st.sampled_from(["store", "io"]),
+        address=st.sampled_from([0x100, 0x104, 0x80000000]),
+        value=st.integers(min_value=0, max_value=3),
+        size=st.sampled_from([1, 4]),
+    ),
+    max_size=12,
+)
+
+
+class TestFirstDivergence:
+    """``_first_divergence`` skips identical objects: spliced streams share
+    the golden's transactions, and the answer must not change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(golden=_transactions, own=_transactions, split=st.integers(0, 12),
+           tail=st.integers(0, 12), copy=st.booleans())
+    def test_matches_the_per_element_scan(self, golden, own, split, tail, copy):
+        # Shared prefix, the faulty run's own middle, then a spliced tail of
+        # the golden's objects; *copy* replaces shared objects by equal ones.
+        shared = golden[:split]
+        spliced = golden[len(golden) - min(tail, len(golden)):]
+        faulty = shared + own + spliced
+        if copy:
+            faulty = [OffCoreTransaction(t.kind, t.address, t.value, t.size)
+                      for t in faulty]
+        assert _first_divergence(golden, faulty) == _per_element_divergence(
+            golden, faulty
+        )
+        assert _first_divergence(faulty, golden) == _per_element_divergence(
+            faulty, golden
+        )
+
+    def test_shared_objects_are_not_compared(self):
+        class Opaque(OffCoreTransaction):
+            def matches(self, other):
+                raise AssertionError("identical objects compared field by field")
+
+        stream = [Opaque("store", 0x100, 1, 4)] * 3
+        assert _first_divergence(stream, list(stream)) is None
+        assert _first_divergence(stream, stream[:2]) == 2
 
 
 class TestResults:

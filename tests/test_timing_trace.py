@@ -1,8 +1,14 @@
 """Tests for the timing model and the execution trace."""
 
+import types
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.isa.decoder import decode
 from repro.isa.encoding import Format3Imm, Format3Reg
-from repro.isa.instructions import FunctionalUnit, InstructionCategory
+from repro.isa.instructions import INSTRUCTION_SET, FunctionalUnit, InstructionCategory
 from repro.iss.timing import TimingModel, TimingReport
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 
@@ -129,6 +135,59 @@ class TestExecutionTrace:
         result, _ = run_assembly(".text\n        mov 1, %o0\n        ta 0\n")
         trace = result.trace
         assert trace.integer_unit_instructions == trace.total_instructions - 1
+
+
+def _ordered(trace):
+    """Every aggregate of *trace*, with the Counters' key insertion order."""
+    return (
+        list(trace.opcode_counts.items()),
+        list(trace.category_counts.items()),
+        list(trace.unit_counts.items()),
+        list(trace.unit_opcodes.items()),
+        trace.total_instructions,
+        trace.memory_reads,
+        trace.memory_writes,
+    )
+
+
+_MNEMONICS = [defn.mnemonic for defn in INSTRUCTION_SET]
+
+
+class TestRecordCounts:
+    """``record_counts`` folds unit and category totals once per key; the
+    trace must equal a per-instruction ``record`` fold, key order included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.sampled_from(_MNEMONICS), st.integers(min_value=0, max_value=5),
+            max_size=len(_MNEMONICS),
+        ),
+        before=st.lists(st.sampled_from(_MNEMONICS), max_size=4),
+    )
+    def test_equals_a_per_instruction_fold(self, counts, before):
+        bulk, stepped = ExecutionTrace(), ExecutionTrace()
+        # A trace that already holds some keys keeps their positions.
+        for trace in (bulk, stepped):
+            for mnemonic in before:
+                trace.record(_instruction(mnemonic), 0, 0)
+        bulk.record_counts(counts)
+        for mnemonic, count in counts.items():
+            for _ in range(count):
+                stepped.record(_instruction(mnemonic), 0, 0)
+        assert _ordered(bulk) == _ordered(stepped)
+        assert bulk == stepped
+
+    def test_detailed_traces_refuse_counts_but_not_empty_ones(self):
+        trace = ExecutionTrace(detailed=True)
+        trace.record_counts({"add": 0})
+        with pytest.raises(ValueError):
+            trace.record_counts({"add": 1})
+
+
+def _instruction(mnemonic):
+    """A stand-in decoded instruction: ``record`` reads only its ``defn``."""
+    return types.SimpleNamespace(defn=INSTRUCTION_SET.by_mnemonic(mnemonic))
 
 
 class TestOffCoreTransaction:
