@@ -23,7 +23,11 @@ earlier in the series, so neither series simulates those jobs.
 core's runs behind Figs 5–7's permanent-fault campaigns.  The fast core runs
 straight-line code as compiled blocks; each row reports the share of the
 series' fast-core instructions that ran inside blocks (``block_share``), and
-``--check`` fails when that share is 0 (the block path silently off).
+that share over the runs faulting a register-file cell
+(``register_file_block_share``) and a cache-array cell
+(``cache_array_block_share``, half the sample).  ``--check`` fails when the
+overall or the cache-array share is 0 (the block path, or its cache-hook
+rule, silently off).
 
 Appends a dated record to the ``BENCH_rtl_throughput.json`` history next to
 the repo root so CI and future optimisation PRs can track the trend:
@@ -34,7 +38,8 @@ the repo root so CI and future optimisation PRs can track the trend:
 
 ``--check`` compares the measured aggregate *speedup* against the latest
 committed record, failing on a >20% regression, on a speedup below the 3x
-floor the fast engine is required to clear, or on a zero block share.  The speedup ratio (fast inj/s /
+floor the fast engine is required to clear, or on a zero (overall or
+cache-array) block share.  The speedup ratio (fast inj/s /
 reference inj/s on the same machine, same run) is the machine-portable
 metric; absolute injections/second are recorded for context but never
 compared across machines.
@@ -67,24 +72,59 @@ DEFAULT_WORKLOADS = ("rspeed", "membench", "intbench")
 SPEEDUP_FLOOR = 3.0
 
 
+#: Block-share groups: the storage arrays a run's fault sits on.
+SITE_GROUPS = {"rf.cells": "register_file"} | {
+    f"{cache}.{array}": "cache_array"
+    for cache in ("icache", "dcache") for array in ("tags", "data", "valid")
+}
+
+
 class FallbackCounter:
     """Counts the runs *core* executes on its reference-core fallback, and
-    the instructions of the others (the fast core's own)."""
+    the instructions of the others (the fast core's own) and of those the
+    ones that ran in compiled blocks, in total and per :data:`SITE_GROUPS`
+    group.  Without a core it only sums other counters (:meth:`merge`)."""
 
-    def __init__(self, core):
+    def __init__(self, core=None):
         self.runs = 0
         self.fast_instructions = 0
-        self._core = core
-        self._run = core.run
-        core.run = self._counted_run
+        self.block_instructions = 0
+        self.groups = {group: [0, 0] for group in set(SITE_GROUPS.values())}
+        if core is not None:
+            self._core = core
+            self._run = core.run
+            core.run = self._counted_run
 
     def _counted_run(self, **kwargs):
         fallback = self._core.uses_fallback
         self.runs += fallback
+        blocks_before = self._core.block_instructions
         result = self._run(**kwargs)
         if not fallback:
+            blocks = self._core.block_instructions - blocks_before
             self.fast_instructions += result.instructions
+            self.block_instructions += blocks
+            for group in {SITE_GROUPS.get(fault.site.net) for fault in result.faults}:
+                if group is not None:
+                    self.groups[group][0] += result.instructions
+                    self.groups[group][1] += blocks
         return result
+
+    def merge(self, other: "FallbackCounter") -> None:
+        self.fast_instructions += other.fast_instructions
+        self.block_instructions += other.block_instructions
+        for group, (instructions, blocks) in other.groups.items():
+            self.groups[group][0] += instructions
+            self.groups[group][1] += blocks
+
+    def shares(self) -> dict:
+        """``block_share`` overall and per group, rounded for the record."""
+        return {
+            "block_share": round(
+                self.block_instructions / max(self.fast_instructions, 1), 3),
+            **{f"{group}_block_share": round(blocks / max(instructions, 1), 3)
+               for group, (instructions, blocks) in sorted(self.groups.items())},
+        }
 
 
 def run_series(backend, budget, faults):
@@ -116,8 +156,7 @@ def main() -> int:
     total_injections = 0
     total_ref_s = 0.0
     total_fast_s = 0.0
-    total_fast_instructions = 0
-    total_block_instructions = 0
+    totals = FallbackCounter()
     print(f"RTL injection throughput: {len(args.workloads)} workloads, "
           f"{args.sites} sites x {len(ALL_FAULT_MODELS)} fault models each; "
           f"paperbench phase: leon3.fast_s on paper_rtl")
@@ -154,10 +193,8 @@ def main() -> int:
 
         ref_results, ref_s = run_series(reference, budget, faults)
         fallbacks = FallbackCounter(fast.core)
-        blocks_before = fast.core.block_instructions
         fast_results, fast_s = run_series(fast, budget, faults)
-        block_instructions = fast.core.block_instructions - blocks_before
-        block_share = block_instructions / max(fallbacks.fast_instructions, 1)
+        shares = fallbacks.shares()
         for fault, expected, observed in zip(faults, ref_results, fast_results):
             if observed != expected:
                 raise SystemExit(
@@ -179,25 +216,28 @@ def main() -> int:
             "fast": {"seconds": round(fast_s, 4),
                      "injections_per_second": round(injections / fast_s, 2)},
             "speedup": round(speedup, 2),
-            "block_share": round(block_share, 3),
+            **shares,
         })
         total_injections += injections
         total_ref_s += ref_s
         total_fast_s += fast_s
-        total_fast_instructions += fallbacks.fast_instructions
-        total_block_instructions += block_instructions
+        totals.merge(fallbacks)
         print(f"  {name:10s} {injections:4d} inj ({net_jobs} net-site jobs, "
               f"{fallbacks.runs} fallbacks, {collapsed} collapsed)   "
               f"ref {injections / ref_s:7.2f} inj/s   "
               f"fast {injections / fast_s:7.2f} inj/s   "
-              f"{speedup:5.2f}x  blocks {block_share:5.1%}  (bit-identical)")
+              f"{speedup:5.2f}x  blocks {shares['block_share']:5.1%} "
+              f"(rf {shares['register_file_block_share']:5.1%}, "
+              f"cache {shares['cache_array_block_share']:5.1%})  (bit-identical)")
 
     aggregate_speedup = total_ref_s / total_fast_s
-    block_share = total_block_instructions / max(total_fast_instructions, 1)
+    shares = totals.shares()
     print(f"  aggregate: ref {total_injections / total_ref_s:.2f} inj/s, "
           f"fast {total_injections / total_fast_s:.2f} inj/s "
           f"-> {aggregate_speedup:.2f}x speedup; "
-          f"{block_share:.1%} of fast-core instructions ran in blocks")
+          f"{shares['block_share']:.1%} of fast-core instructions ran in blocks "
+          f"(register-file runs {shares['register_file_block_share']:.1%}, "
+          f"cache-array runs {shares['cache_array_block_share']:.1%})")
 
     baseline = {
         "benchmark": "rtl_throughput",
@@ -215,11 +255,14 @@ def main() -> int:
             ),
             "fast_injections_per_second": round(total_injections / total_fast_s, 2),
             "speedup": round(aggregate_speedup, 2),
-            "block_share": round(block_share, 3),
+            **shares,
         },
     }
-    if args.check and not total_block_instructions:
+    if args.check and not totals.block_instructions:
         print("ERROR: no fast-core instruction ran in a compiled block")
+        return 1
+    if args.check and not totals.groups["cache_array"][1]:
+        print("ERROR: no instruction of a cache-array run ran in a compiled block")
         return 1
     return run_gated_benchmark(
         BASELINE_PATH, baseline,

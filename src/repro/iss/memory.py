@@ -52,11 +52,31 @@ class Memory:
         page[offset] = value & 0xFF
 
     def read_bytes(self, address: int, length: int) -> bytes:
-        return bytes(self.read_byte(address + index) for index in range(length))
+        """*length* bytes from *address* (wrapping at the top of the address
+        space), one page slice at a time; untouched pages read as zeros and
+        stay unallocated."""
+        chunks = []
+        while length > 0:
+            address &= ADDRESS_MASK
+            offset = address & PAGE_MASK
+            size = min(length, PAGE_SIZE - offset)
+            page = self._pages.get(address >> PAGE_SHIFT)
+            chunks.append(bytes(size) if page is None else page[offset:offset + size])
+            address += size
+            length -= size
+        return b"".join(chunks)
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        for index, value in enumerate(data):
-            self.write_byte(address + index, value)
+        """Write *data* from *address* (wrapping at the top of the address
+        space), one page slice at a time; every page the bytes land on is
+        allocated."""
+        data = memoryview(data).cast("B")
+        start = 0
+        while start < len(data):
+            page, offset = self._page(address + start)
+            size = min(len(data) - start, PAGE_SIZE - offset)
+            page[offset:offset + size] = data[start:start + size]
+            start += size
 
     # -- aligned accessors -------------------------------------------------------
 

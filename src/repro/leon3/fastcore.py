@@ -20,7 +20,8 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
 * **Per-PC op cache** — each instruction word is decoded once per PC by
   the reference decode stage (the executable spec, so decode needs no second
   copy) and specialised into a :class:`_FastOp` with operands pre-extracted
-  and branch/call targets pre-resolved.  A cached op is validated against
+  and branch/call targets pre-resolved; without word-net faults the ops are
+  shared process-wide (:data:`_OP_MEMO`).  A cached op is validated against
   the *fetched* word (the instruction cache is not coherent with stores, so
   a faulted or stale fetch re-specialises automatically) and invalidated
   page-wise on stores (the trace decodes from the memory image, which
@@ -76,22 +77,28 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   completed, and the run adds that prefix's mnemonic histogram once per
   distinct exit.
 
-  *Entry conditions:* no pending annul, ``npc == pc + 4``, no cache hook,
-  an aggregate trace and the whole block inside the segment's budget, so
-  checkpoint slices, watchdog boundaries and traps stop on the same
-  instruction as stepping.  *Register-file hooks* (:meth:`_block_mode`): a
-  watch, or an open-line fault, enters *hooked* blocks that route every
-  read through the hook in reference order; stuck-at and transient faults,
-  which ignore the previous read, enter plain blocks that do not read the
-  faulted cell, or that run wholly outside a transient's window.
+  *Entry conditions:* no pending annul, ``npc == pc + 4``, an aggregate
+  trace and the whole block inside the segment's budget, so checkpoint
+  slices, watchdog boundaries and traps stop on the same instruction as
+  stepping.  *Hooks* (:meth:`_block_mode`): a register-file watch, or
+  open-line fault, enters *hooked* blocks that route every register read
+  through the hook in reference order.  Every other hook but a cache-array
+  transient enters the plain blocks whose static footprint (the register
+  cells they read, the instruction-cache lines and data cells they fetch,
+  any data-cache access) misses its cells, or that run wholly outside a
+  register-file transient's window.  After each block the instruction-cache arrays a watch or open
+  line reads get the ``last_read`` the reference's last fetch left; with
+  such a hook on the tag or valid array a block is entered only when every
+  line it probes is resident, so that value is static.
 
   *Invalidation and memo:* blocks are dropped with the ops of their code
   pages (a store there, a ``reload``/``restore_state`` page change, a change
   of word-net faults), and a store to a code page ends the running block
-  right after it.  Compiled blocks are shared process-wide, keyed by entry
-  PC, CWP, window count, flavour, cache geometry and every op's word and
-  decode fields, so word-net-faulted ops never share a block with clean
-  ones.  Compiling a block (parsing its generated source) costs about what
+  right after it; :meth:`clear_faults` drops the blocks a faulted fetch cut
+  short, with the op it left.  Compiled blocks are shared process-wide,
+  keyed by entry PC, CWP, window count, flavour, cache geometry and every
+  op's word and decode fields, so word-net-faulted ops never share a block
+  with clean ones.  Compiling a block (parsing its generated source) costs about what
   a hundred runs of it save, so a block not in the memo compiles on the
   :data:`_COMPILE_AFTER`-th entry of its key, counted process-wide, and
   translation is tried only where straight-line code starts (a segment's
@@ -328,7 +335,7 @@ class _FastOp:
     )
 
     def __init__(
-        self, pc: int, word: int, memory: Memory, defn, rd: int, rs1: int,
+        self, pc: int, word: int, memory_word: int, defn, rd: int, rs1: int,
         rs2: int, imm: Optional[int], cond: Optional[int], annul: bool,
         disp: int,
     ):
@@ -357,11 +364,9 @@ class _FastOp:
             self.value = imm
         elif mnemonic == "ticc":
             self.cond = rd & 0xF
-        memory_word = None
         try:
-            memory_word = memory.read_word(pc)
             traced = decode_cached(memory_word)
-        except (DecodeError, MemoryError_):
+        except DecodeError:
             self.trace_instr = None
             self.trace_defn = None
             self.trace_mnemonic = None
@@ -375,6 +380,11 @@ class _FastOp:
             self.access_size, self.sign_extend_load, self.cond, self.annul,
             self.target, self.value, self.trace_mnemonic,
         )
+
+
+#: Process-wide memo of the ops built with no word-net fault active, keyed by
+#: (pc, fetched word, memory word at pc): everything such an op depends on.
+_OP_MEMO: Dict[Tuple[int, int, int], _FastOp] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -904,31 +914,63 @@ def _physical(reg: int, cwp: int, nwindows: int) -> int:
     return NUM_GLOBALS + cwp * WINDOW_REGS + reg - 16
 
 
-class _RtlBlock:
-    """One compiled block: its function, length, per-exit histograms, the
-    register cells it reads and a bound on the cycles it spans.
+#: Index into ``_RtlBlock.footprint`` of the cells each hookable storage
+#: array's reads inside a block can touch.
+_FOOTPRINT = {
+    "rf.cells": 0,
+    "icache.tags": 1, "icache.valid": 1,
+    "icache.data": 2,
+    "dcache.tags": 3, "dcache.valid": 3, "dcache.data": 3,
+}
 
-    ``reads`` holds every cell the block's instructions read (handlers it
-    calls included), so a stuck-at or transient on another cell cannot act
-    inside it; ``max_cycles`` counts every latency and a miss penalty per
-    line probe and data-cache access.
+
+class _RtlBlock:
+    """One compiled block: its function, length, per-exit histograms, its
+    static footprint in the storage arrays and a bound on the cycles it spans.
+
+    ``footprint`` holds, indexed as :data:`_FOOTPRINT`, the register cells
+    the block's instructions read (handlers it calls included), the
+    instruction-cache lines its fetches look up, the instruction-cache data
+    cells they read, and every data-cache cell when it accesses the data
+    cache at all (its addresses are not static): a fault or watch on another
+    cell cannot act inside it.  ``probes`` are the (line, tag) pairs of its
+    line probes.  ``fetched`` maps each instruction-cache array to the value
+    each instruction's fetch reads from it when every probe hits (the op's
+    word, its line's tag, valid); after a block, that value is the array's
+    ``last_read``.  ``max_cycles`` counts every latency and a miss penalty
+    per line probe and data-cache access.
     """
 
-    __slots__ = ("run", "length", "mnemonics", "_histograms", "reads", "max_cycles")
+    __slots__ = ("run", "length", "mnemonics", "_histograms", "footprint",
+                 "probes", "fetched", "max_cycles")
 
-    def __init__(self, run: Callable, ops: List[_FastOp], reads: Set[int],
-                 probes: int):
+    def __init__(self, run: Callable, ops: List[_FastOp],
+                 compiler: "_RtlBlockCompiler"):
         self.run = run
         self.length = len(ops)
         self.mnemonics = tuple(op.trace_mnemonic for op in ops)
         self._histograms: Dict[int, List[Tuple[str, int]]] = {}
-        self.reads = frozenset(reads)
+        dcache = compiler.dcache
+        self.footprint = (
+            frozenset(compiler.reads),
+            frozenset(line for line, _ in compiler.probed),
+            frozenset(cell for cells, _ in compiler.probes.values() for cell in cells),
+            range(dcache.lines * dcache.words_per_line if "dcache" in compiler.uses
+                  else 0),
+        )
+        self.probes = tuple(compiler.probed)
+        self.fetched = {
+            "icache.data": tuple(op.word for op in ops),
+            "icache.tags": tuple(compiler.fetch_tags),
+            "icache.valid": (1,) * len(ops),
+        }
         accesses = sum(
             (2 if op.access_size == 8 else 1)
             for op in ops if op.handler in _MEMORY_HANDLERS
         )
         self.max_cycles = (
-            sum(op.latency for op in ops) + (probes + accesses) * MISS_PENALTY
+            sum(op.latency for op in ops)
+            + (len(self.probes) + accesses) * MISS_PENALTY
         )
 
     def histogram(self, ran: int) -> List[Tuple[str, int]]:
@@ -958,6 +1000,9 @@ _COMPILE_AFTER = 128
 #: ``Leon3FastCore._blocks`` lookup default for a PC not translated yet
 #: (``None`` records that no block starts there).
 _UNTRANSLATED = object()
+
+#: ``Leon3FastCore._mode`` until the hooks' block mode is computed.
+_UNSET = object()
 
 
 class _Pending:
@@ -1002,14 +1047,20 @@ class _RtlBlockCompiler:
         self.lat = 0
         #: Line-first instruction index -> (cells, words) the probe checks.
         self.probes: Dict[int, Tuple[List[int], List[int]]] = {}
+        #: (line, tag) of each probe, and the tag of each instruction's line.
+        self.probed: List[Tuple[int, int]] = []
+        self.fetch_tags: List[int] = []
         icache = self.icache
         line = None
         for index, op in enumerate(ops):
             at = pc + 4 * index
+            tag = (at >> icache.tag_shift) & 0x3FFFFF
+            self.fetch_tags.append(tag)
             if at // icache.line_bytes != line:
                 line = at // icache.line_bytes
                 first = index
                 self.probes[first] = ([], [])
+                self.probed.append(((at >> icache.index_shift) & (icache.lines - 1), tag))
             cells, words = self.probes[first]
             cells.append(self._icache_cell(at))
             words.append(op.word)
@@ -1476,8 +1527,14 @@ class Leon3FastCore:
         #: Code page -> the (hooked, cwp, pc) block entries with an
         #: instruction on it.
         self._block_pages: Dict[int, Set[Tuple[int, int, int]]] = {}
+        #: (hooked, cwp, pc, op pc) of the block entries cut short by an op
+        #: from another fetched word (see :meth:`_block_ops`), dropped with
+        #: that op by :meth:`clear_faults`.
+        self._foreign: List[Tuple[int, int, int, int]] = []
         self._rf_fault: Optional[_ArrayHook] = None
         self._array_states: Dict[str, _ArrayHook] = {}
+        #: :meth:`_block_mode` of the current hooks, computed on first use.
+        self._mode: Any = _UNSET
         self._watching = False
         self._fallback = False
         self._word_faults = False
@@ -1511,6 +1568,7 @@ class Leon3FastCore:
         if self._watching:
             raise RuntimeError("a read watch is bound: clear_faults() first")
         fault_list = list(faults)
+        self._mode = _UNSET
         # The reference netlist validates sites (unknown nets, out-of-range
         # bits/cells fail loud) and keeps the canonical active-fault list.
         self._ref.inject(fault_list)
@@ -1548,6 +1606,7 @@ class Leon3FastCore:
         if self._ref.netlist.active_faults() or self._array_states:
             raise RuntimeError("cannot watch reads while faults are active")
         summary: Dict[Tuple[str, int], CellReads] = {}
+        self._mode = _UNSET
         for site in cells:
             if not self.native_site(site):
                 continue
@@ -1580,6 +1639,7 @@ class Leon3FastCore:
         self._ref.clear_faults()
         self._rf_fault = None
         self._array_states = {}
+        self._mode = _UNSET
         self._watching = False
         self.icache.tag_fault = self.icache.data_fault = self.icache.valid_fault = None
         self.dcache.tag_fault = self.dcache.data_fault = self.dcache.valid_fault = None
@@ -1588,6 +1648,14 @@ class Leon3FastCore:
             # Ops built under the faults must not outlive them.
             self._word_faults = False
             self._flush_op_cache()
+        # Nor may blocks a faulted fetch cut short, or the op it left.
+        cache = self._op_cache
+        for hooked, cwp, pc, at in self._foreign:
+            self._blocks[hooked][cwp].pop(pc, None)
+            op = cache.get(at)
+            if op is not None and not op.from_memory:
+                del cache[at]
+        self._foreign.clear()
 
     # -- program management -------------------------------------------------------
 
@@ -1659,6 +1727,7 @@ class Leon3FastCore:
             for blocks in flavour:
                 blocks.clear()
         self._block_pages.clear()
+        self._foreign.clear()
 
     def _invalidate_code_page(self, page: int) -> None:
         """Drop the specialisations and blocks on *page* (a store changed
@@ -1885,18 +1954,26 @@ class Leon3FastCore:
         spec, trapping exactly where it traps) on the reference netlist, which
         carries any word-determined net faults.  Those nets are first put
         back to their post-reset values so an open line reads the bit it
-        latched at reset.
+        latched at reset.  Without word-net faults the op is a pure function
+        of *pc*, *word* and the memory word at *pc*, and is shared
+        process-wide through :data:`_OP_MEMO`.
         """
-        netlist = self._ref.netlist
-        for name, value in self._word_nets_at_reset.items():
-            netlist.net(name).value = value
-        decoded = self._ref.iu._decode_stage(netlist.drive("iu.fe.inst", word))
-        op = _FastOp(
-            pc, word, self.memory, decoded["defn"], decoded.get("rd", 0),
-            decoded.get("rs1", 0), decoded.get("rs2", 0), decoded.get("imm"),
-            decoded.get("cond"), decoded.get("annul", False),
-            decoded.get("disp", 0),
-        )
+        memory_word = self.memory.read_word(pc)
+        key = (pc, word, memory_word)
+        op = None if self._word_faults else _OP_MEMO.get(key)
+        if op is None:
+            netlist = self._ref.netlist
+            for name, value in self._word_nets_at_reset.items():
+                netlist.net(name).value = value
+            decoded = self._ref.iu._decode_stage(netlist.drive("iu.fe.inst", word))
+            op = _FastOp(
+                pc, word, memory_word, decoded["defn"], decoded.get("rd", 0),
+                decoded.get("rs1", 0), decoded.get("rs2", 0), decoded.get("imm"),
+                decoded.get("cond"), decoded.get("annul", False),
+                decoded.get("disp", 0),
+            )
+            if not self._word_faults:
+                _OP_MEMO[key] = op
         self._op_cache[pc] = op
         self._code_pages.setdefault(pc >> PAGE_SHIFT, set()).add(pc)
         self.decode_fills += 1
@@ -1905,18 +1982,15 @@ class Leon3FastCore:
     # -- block translation --------------------------------------------------------
 
     def _block_op(self, pc: int) -> Optional[_FastOp]:
-        """The op a block may use at *pc*: the cached one when it was built
-        from the memory word, else a new one; ``None`` when the cached op
-        came from another fetched word (a stale line or a faulted fetch,
-        which the per-instruction loop handles) or the word does not decode.
-        """
+        """The cached op at *pc*, else one built from the memory word;
+        ``None`` when that word does not decode."""
         op = self._op_cache.get(pc)
         if op is None:
             try:
                 return self._build_op(pc, self.memory.read_word(pc))
             except IuTrap:
                 return None
-        return op if op.from_memory else None
+        return op
 
     def _translate(self, pc: int, hooked: int) -> Optional[_RtlBlock]:
         """Look up the block entered at *pc* in the current window; ``None``
@@ -1932,7 +2006,9 @@ class Leon3FastCore:
         drop it.
         """
         cwp = self.cwp
-        ops = self._block_ops(pc)
+        ops, foreign = self._block_ops(pc)
+        if foreign is not None:
+            self._foreign.append((hooked, cwp, pc, foreign))
         block: Union[_RtlBlock, _Pending, None] = None
         if ops:
             icache, dcache = self.icache, self.dcache
@@ -1966,68 +2042,105 @@ class Leon3FastCore:
         if block is None:
             _BLOCK_HEAT.pop(key, None)
             compiler = _RtlBlockCompiler(self, pending.ops, pc, bool(hooked))
-            block = _BLOCK_MEMO[key] = _RtlBlock(
-                compiler.build(), pending.ops, compiler.reads, len(compiler.probes)
-            )
+            block = _BLOCK_MEMO[key] = _RtlBlock(compiler.build(), pending.ops, compiler)
         self._blocks[hooked][self.cwp][pc] = block
         return block
 
-    def _block_ops(self, pc: int) -> List[_FastOp]:
-        """The ops of the block entered at *pc* (empty when none starts)."""
+    def _block_ops(self, pc: int) -> Tuple[List[_FastOp], Optional[int]]:
+        """The ops of the block entered at *pc* (empty when none starts), and
+        the PC of the cached op that cut them short by coming from another
+        fetched word than the memory image's (a stale line or a faulted
+        fetch, which the per-instruction loop handles), if one did."""
         ops: List[_FastOp] = []
         at = pc
         while len(ops) < _BLOCK_CAP and not at & 3 and at < _U32 - 8:
             op = self._block_op(at)
-            if op is None or op.handler not in _BLOCK_HANDLERS:
+            if op is None:
+                break
+            if not op.from_memory:
+                return ops, at
+            if op.handler not in _BLOCK_HANDLERS:
                 break
             if op.handler in _CTI_HANDLERS:
                 if op.handler is _h_branch and op.annul and op.cond & 7 == 0:
                     ops.append(op)  # ba,a / bn,a: the slot never executes
                 elif len(ops) + 2 <= _BLOCK_CAP:
                     slot = self._block_op(at + 4)
+                    if slot is not None and not slot.from_memory:
+                        return ops, at + 4
                     if (slot is not None and slot.handler in _BLOCK_HANDLERS
                             and slot.handler not in _CTI_HANDLERS):
                         ops += (op, slot)
                 break
             ops.append(op)
             at += 4
-        return ops
+        return ops, None
 
-    def _block_mode(self) -> Optional[Tuple[int, Optional[list]]]:
+    def _block_mode(self) -> Optional[Tuple[int, Optional[list], Optional[list], bool]]:
         """How this run may use blocks: ``None`` for not at all, else
-        (hooked, guards).
+        (hooked, guards, last_reads, resident).
 
-        Blocks need a plain fetch and data path, so any cache hook keeps the
-        per-instruction loop, as does a detailed trace.  A register-file
-        watch, or a fault set with an open line (both consume every read's
-        ``last_read``), enters *hooked* blocks, which route each read through
-        the hook in reference order.  Stuck-at and transient faults ignore
-        ``last_read``: their run enters plain blocks, under *guards* of
-        (cell, start, end) — a block that reads a guarded cell is entered
-        only when the fault cannot be active during it (see
-        :meth:`run_segment`).  A transient together with an open line steps.
+        A detailed trace steps.  Watches and open-line faults read every
+        read's ``last_read`` (the previous value of their array's read port);
+        stuck-at and transient faults ignore it.  A register-file watch or
+        open line enters *hooked* blocks, which route each register read
+        through the hook in reference order; with any other hook as well, or
+        with a register-file transient, the run steps.  A cache-array
+        transient steps too: blocks would speed its from-reset runs up more
+        than the checkpoint forks that replace them, and the checkpointed
+        runtime is gated on that ratio (``docs/performance.md``).  Every
+        other hook becomes *guards* of (footprint index, cell, start, end),
+        one per hooked cell (:data:`_FOOTPRINT`): a block whose footprint
+        holds a guarded cell is entered only when the fault cannot be active
+        during it (see :meth:`run_segment`).  Stuck-at faults, open lines and
+        watches are active throughout.
+
+        Blocks so admitted read no hooked cell, but their fetches still read
+        the instruction cache's arrays.  *last_reads* lists, as (hook,
+        array), those whose ``last_read`` a watch or open line reads; each
+        block exit sets it to what the reference's last fetch read
+        (``_RtlBlock.fetched``).  That value is static for the data array;
+        for the tag and valid arrays it is static when the fetch's line probe
+        hit, so with such a hook on them (*resident*) a block is entered only
+        when every line it probes is resident.  Data-cache arrays need
+        neither: no block that reads the data cache runs under a hook there.
         """
         if self.detailed_trace:
             return None
-        for cache in (self.icache, self.dcache):
-            if (cache.tag_fault is not None or cache.data_fault is not None
-                    or cache.valid_fault is not None):
+        hooked = 0
+        guards = []
+        last_reads = []
+        resident = False
+        for name, hook in self._array_states.items():
+            if isinstance(hook, _ArrayWatch):
+                faults = [(cell, None) for cell in hook.cells]
+                consumer = True
+            else:
+                faults = [(cell, fault) for cell, cell_faults in hook.by_cell.items()
+                          for fault in cell_faults]
+                consumer = any(fault.model is FaultModel.OPEN_LINE
+                               for _, fault in faults)
+            transient = any(isinstance(fault, TransientFault) for _, fault in faults)
+            if name == "rf.cells":
+                if consumer:
+                    if transient:
+                        return None
+                    hooked = 1
+                    continue
+            elif transient:
                 return None
-        hook = self._rf_fault
-        if hook is None:
-            return 0, None
-        if isinstance(hook, _ArrayWatch):
-            return 1, None
-        faults = [(cell, fault) for cell, cell_faults in hook.by_cell.items()
-                  for fault in cell_faults]
-        transient = any(isinstance(fault, TransientFault) for _, fault in faults)
-        if any(fault.model is FaultModel.OPEN_LINE for _, fault in faults):
-            return None if transient else (1, None)
-        return 0, [
-            (cell, fault.start_cycle, fault.end_cycle)
-            if isinstance(fault, TransientFault) else (cell, -1, _FOREVER)
-            for cell, fault in faults
-        ]
+            elif consumer and name.startswith("icache."):
+                last_reads.append((hook, name))
+                resident = resident or name != "icache.data"
+            kind = _FOOTPRINT[name]
+            guards += [
+                (kind, cell, fault.start_cycle, fault.end_cycle)
+                if isinstance(fault, TransientFault) else (kind, cell, -1, _FOREVER)
+                for cell, fault in faults
+            ]
+        if hooked and len(self._array_states) > 1:
+            return None
+        return hooked, guards or None, last_reads or None, resident
 
     # -- execution ----------------------------------------------------------------
 
@@ -2116,10 +2229,12 @@ class Leon3FastCore:
         ic_wpl = icache.words_per_line
         ic_wpl_mask = ic_wpl - 1
         # Block path (see "Block path" in the module docstring).
-        mode = self._block_mode()
+        mode = self._mode
+        if mode is _UNSET:
+            mode = self._mode = self._block_mode()
         use_blocks = mode is not None
-        blocks = self._blocks[mode[0]] if use_blocks else ()
-        guards = mode[1] if use_blocks else None
+        hooked, guards, last_reads, resident = mode or (0, None, None, False)
+        blocks = self._blocks[hooked]
         cells = self.cells
         in_blocks = 0
         #: True where a block may start a run of straight-line code: the
@@ -2145,9 +2260,9 @@ class Leon3FastCore:
             if use_blocks and (sequential := self.npc == pc + 4):
                 block = blocks[self.cwp].get(pc, _UNTRANSLATED)
                 if block is _UNTRANSLATED:
-                    block = self._translate(pc, mode[0]) if leader else None
+                    block = self._translate(pc, hooked) if leader else None
                 elif type(block) is _Pending:
-                    block = self._visit(pc, mode[0], block)
+                    block = self._visit(pc, hooked, block)
                 if block is not None:
                     if executed + block.length > budget:
                         # The budget ends inside this block: the few
@@ -2158,9 +2273,15 @@ class Leon3FastCore:
                         # A guarded cell the block reads must be inactive
                         # for the whole block: a closed transient window, or
                         # one that opens after the block's last cycle.
-                        for cell, start, end in guards:
-                            if (cell in block.reads and cycles < end
+                        footprint = block.footprint
+                        for kind, cell, start, end in guards:
+                            if (cell in footprint[kind] and cycles < end
                                     and cycles + block.max_cycles > start):
+                                block = None
+                                break
+                    if resident and block is not None:
+                        for line, tag in block.probes:
+                            if not (ic_valid[line] and ic_tags[line] == tag):
                                 block = None
                                 break
                 if block is not None:
@@ -2173,6 +2294,13 @@ class Leon3FastCore:
                         ran = (self.pc - pc) >> 2
                         icache.hits += 1
                         error = exc
+                    if last_reads is not None:
+                        # The last fetch: the trapping instruction's, else
+                        # the last completed one's.
+                        last = ran if error is not None else ran - 1
+                        if last >= 0:
+                            for hook, array in last_reads:
+                                hook.last_read = block.fetched[array][last]
                     if ran:
                         executed += ran
                         in_blocks += ran

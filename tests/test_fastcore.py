@@ -24,6 +24,7 @@ from repro.isa.assembler import assemble
 from repro.leon3.core import Leon3Core
 from repro.leon3.fastcore import (
     _WORD_NETS,
+    _ArrayWatch,
     Leon3FastCore,
     assert_rtl_results_identical,
     run_program_fast_rtl,
@@ -540,7 +541,21 @@ def _blocked_pair(program, faults=(), max_instructions=400_000, **core_kwargs):
     fast_core.inject(list(faults))
     fast = fast_core.run(max_instructions=max_instructions)
     assert_rtl_results_identical(reference_core, reference, fast_core, fast)
+    _assert_cache_last_reads(reference_core, fast_core)
     return fast, fast_core
+
+
+def _assert_cache_last_reads(reference_core, fast_core):
+    """Every cache array's read-port value that a watch or an open line
+    reads (their previous value) matches the reference's at the end of the
+    run."""
+    for name, hook in fast_core._array_states.items():
+        if name != "rf.cells" and (
+            isinstance(hook, _ArrayWatch)
+            or any(fault.model is FaultModel.OPEN_LINE
+                   for faults in hook.by_cell.values() for fault in faults)
+        ):
+            assert hook.last_read == reference_core.netlist.array(name)._last_read, name
 
 
 def _read_cells(program, limit=None):
@@ -558,6 +573,79 @@ def _read_cells(program, limit=None):
     return cells[:limit]
 
 
+#: A hot loop that loads, stores and calls a routine, an ALU-only loop (the
+#: blocks every cache hook admits), and exit code on a line of its own (nops
+#: pad the text: ``.align`` does not pad it).
+_CACHE_LOOPS_SOURCE = """
+        .text
+start:
+        set     table, %l0
+        set     out, %l1
+        mov     0, %o0
+        mov     8, %o1
+loop:
+        ld      [%l0], %o2
+        add     %o2, %o0, %o2
+        st      %o2, [%l0]
+        call    helper
+        mov     5, %o4
+        subcc   %o1, 1, %o1
+        bne     loop
+        add     %o0, 1, %o0
+        mov     40, %o1
+spin:
+        add     %o3, %o0, %o3
+        xor     %o3, %o1, %o5
+        subcc   %o1, 1, %o1
+        bne     spin
+        sll     %o5, 1, %o5
+        nop
+        nop
+        nop
+        nop
+exit:
+        set     cold, %l2
+        ld      [%l2], %o2
+        add     %o2, %o3, %o2
+        st      %o2, [%l1]
+        st      %o5, [%l1 + 4]
+        ta      0
+        nop
+helper:
+        add     %o0, 3, %o3
+        or      %o3, %o4, %o3
+        retl
+        sub     %o3, 1, %o3
+        .data
+table:
+        .word   0x12345678
+        .align  32
+cold:
+        .word   0x9abcdef0
+        .align  32
+out:
+        .space  8
+"""
+
+
+def _cache_cells(program, array):
+    """(hot, cold) cells of *array* in the cache-loops program: read on every
+    pass of the hot loop, and only outside it (default 32 x 8-word caches)."""
+    symbols = program.symbols
+    assert not (symbols["exit"] | symbols["helper"]) & 31  # line-aligned
+    hot, cold = ((symbols["helper"], symbols["exit"]) if array.startswith("icache.")
+                 else (symbols["table"], symbols["cold"]))
+    if array.endswith(".data"):
+        return tuple(((at >> 5) & 31) * 8 + ((at >> 2) & 7) for at in (hot, cold))
+    if array.startswith("icache."):
+        hot = symbols["loop"]
+    return tuple((at >> 5) & 31 for at in (hot, cold))
+
+
+_CACHE_ARRAYS = [f"{cache}.{kind}" for cache in ("icache", "dcache")
+                 for kind in ("tags", "data", "valid")]
+
+
 def _patch_word():
     from repro.isa import encoding
     from repro.isa.encoding import OP_ARITH
@@ -565,6 +653,50 @@ def _patch_word():
     return encoding.Format3Imm(
         op=OP_ARITH, op3=0x02, rd=8, rs1=0, simm13=7
     ).encode()  # or %g0, 7, %o0
+
+
+def _stale_line_program():
+    """Pass 1 runs the loop head from a cached line and patches it; pass 2
+    runs the stale word, then calls a routine whose line evicts the patched
+    one, so pass 3 fetches the patch (stores 1, 1, 7)."""
+    head = f"""
+        .text
+        set     patch, %o3
+        set     {_patch_word():#010x}, %o4
+        set     out, %l1
+        mov     0, %o5
+loop:
+patch:
+        mov     1, %o0
+        st      %o0, [%l1]
+        cmp     %o5, 2
+        be      done
+        nop
+        cmp     %o5, 1
+        bne     skip
+        nop
+        call    evict
+        nop
+skip:
+        inc     %o5
+        st      %o4, [%o3]
+        ba      loop
+        nop
+done:
+        ta      0
+"""
+    tail = """
+evict:
+        retl
+        nop
+        .data
+out:
+        .space  8
+"""
+    probe = assemble(head + tail, name="stale-line")
+    line_span = 32 * 32  # icache lines x line bytes
+    pad = ((probe.symbols["patch"] - probe.symbols["evict"]) % line_span) // 4
+    return assemble(head + "        nop\n" * pad + tail, name="stale-line")
 
 
 class TestBlockPath:
@@ -687,34 +819,217 @@ class TestBlockPath:
         ], 8_000)
         assert core.block_instructions == 0
 
-    @pytest.mark.parametrize("name", ["intbench", "rspeed", "membench"])
-    def test_watched_golden_equals_the_stepped_watch(self, name, monkeypatch):
-        program = build_program(name)
+    @staticmethod
+    def _assert_blocked_watch_equals_stepped(program, sites, monkeypatch,
+                                             max_instructions=400_000):
+        """A watched run on blocks records the reads, and gives the result,
+        of the same watched run stepped."""
         summaries = []
         for blocks in (True, False):
             if not blocks:
                 monkeypatch.setattr(Leon3FastCore, "_block_mode", lambda self: None)
             core = Leon3FastCore()
             core.load_program(program)
-            reads = core.watch(
-                core.netlist.site_for("rf.cells", 0, index=index)
-                for index in range(len(core.cells))
-            )
-            result = core.run(max_instructions=400_000)
+            reads = core.watch(sites)
+            result = core.run(max_instructions=max_instructions)
             summaries.append((reads, result, core.block_instructions))
         (blocked, result, entered), (stepped, expected, none) = summaries
         assert entered and not none
         assert result == expected
         assert blocked == stepped
 
-    @pytest.mark.parametrize("array", ["icache.tags", "dcache.data"])
-    def test_cache_hooks_keep_the_per_instruction_loop(self, array):
-        program = build_program("intbench")
-        site = FaultSite(net=array, bit=0, unit="cmem", index=1)
-        _, core = _blocked_pair(
-            program, [PermanentFault(site=site, model=FaultModel.STUCK_AT_1)], 8_000
+    @pytest.mark.parametrize("name", ["intbench", "rspeed", "membench"])
+    def test_watched_golden_equals_the_stepped_watch(self, name, monkeypatch):
+        core = Leon3FastCore()
+        self._assert_blocked_watch_equals_stepped(
+            build_program(name),
+            [core.netlist.site_for("rf.cells", 0, index=index)
+             for index in range(len(core.cells))],
+            monkeypatch,
         )
-        assert core.block_instructions == 0
+
+    @pytest.mark.parametrize("array", _CACHE_ARRAYS)
+    def test_cache_array_faults_enter_the_blocks_that_miss_them(self, array):
+        program = assemble(_CACHE_LOOPS_SOURCE, name="cache-loops")
+        golden, _ = _blocked_pair(program)
+        bits = {"tags": (0, 9), "data": (0, 1, 13, 30), "valid": (0,)}[
+            array.split(".")[1]]
+        acted = 0
+        for cell in _cache_cells(program, array):
+            for bit in bits:
+                site = FaultSite(net=array, bit=bit, unit="cmem", index=cell)
+                for model in ALL_FAULT_MODELS:
+                    fast, core = _blocked_pair(
+                        program, [PermanentFault(site=site, model=model)], 5_000
+                    )
+                    assert core.block_instructions > 0, (cell, bit, model)
+                    acted += fast != golden
+        assert acted
+
+    def test_cache_transients_step(self):
+        program = assemble(_CACHE_LOOPS_SOURCE, name="cache-loops")
+        golden, _ = _blocked_pair(program)
+        acted = 0
+        for array in ("icache.data", "icache.valid", "dcache.data"):
+            cell = _cache_cells(program, array)[0]
+            for start in range(0, golden.cycles, 97):
+                fault = TransientFault(
+                    site=FaultSite(net=array, bit=0, unit="cmem", index=cell),
+                    start_cycle=start, duration=5,
+                )
+                fast, core = _blocked_pair(program, [fault], 5_000)
+                assert core.block_instructions == 0
+                acted += fast != golden
+        assert acted
+
+    @pytest.mark.parametrize("array", _CACHE_ARRAYS)
+    def test_watched_cache_cells_equal_the_stepped_watch(self, array, monkeypatch):
+        program = assemble(_CACHE_LOOPS_SOURCE, name="cache-loops")
+        netlist = Leon3FastCore().netlist
+        self._assert_blocked_watch_equals_stepped(
+            program,
+            [netlist.site_for(array, 0, index=cell)
+             for cell in _cache_cells(program, array)],
+            monkeypatch, 5_000,
+        )
+
+    @pytest.mark.parametrize("name", ["intbench", "rspeed", "membench"])
+    def test_watched_cmem_sample_equals_the_stepped_watch(self, name, monkeypatch):
+        # The sites a CMEM campaign's golden run watches.
+        self._assert_blocked_watch_equals_stepped(
+            build_program(name),
+            Leon3Core().sites.sample(24, units=["cmem"], seed=2015),
+            monkeypatch,
+        )
+
+    def test_register_file_and_cache_hooks_together(self):
+        program = assemble(_CACHE_LOOPS_SOURCE, name="cache-loops")
+        rf_cell = physical_register_index(11, cwp=0, nwindows=8)  # %o3
+        rf_site = FaultSite(net="rf.cells", bit=1, unit="iu.regfile", index=rf_cell)
+        data_site = FaultSite(net="icache.data", bit=1, unit="cmem",
+                              index=_cache_cells(program, "icache.data")[1])
+        stuck = PermanentFault(site=rf_site, model=FaultModel.STUCK_AT_1)
+        fetch = PermanentFault(site=data_site, model=FaultModel.OPEN_LINE)
+        _, core = _blocked_pair(program, [stuck, fetch], 5_000)
+        assert core.block_instructions  # guards on both arrays
+        open_line = PermanentFault(site=rf_site, model=FaultModel.OPEN_LINE)
+        _, core = _blocked_pair(program, [open_line, fetch], 5_000)
+        assert core.block_instructions == 0  # a hooked register file steps
+
+    @pytest.mark.parametrize("hook", [
+        ("icache.data", 0, FaultModel.OPEN_LINE),
+        ("icache.valid", 31, FaultModel.OPEN_LINE),
+        ("dcache.tags", 31, FaultModel.STUCK_AT_1),
+    ], ids=lambda hook: hook[0])
+    @pytest.mark.parametrize("body, kind", [
+        ("        save    %sp, -96, %sp\n        add     %g1, 1, %g1\n" * 8,
+         "window"),
+        ("        mov     5, %o0\n        mov     0, %o1\n"
+         "        wr      %g0, %g0, %y\n        subcc   %o0, 6, %g0\n"
+         "        udiv    %o0, %o1, %o2\n", "division_by_zero"),
+        ("        set     out, %l1\n        st      %l1, [%l1]\n"
+         "        sth     %l1, [%l1 + 1]\n", "memory"),
+    ], ids=["save-overflow", "udiv-zero", "misaligned-store"])
+    def test_traps_mid_block_under_a_cache_hook(self, body, kind, hook):
+        # Cell 0 holds the entry ``ba``; line 31 is never fetched.  Runs
+        # twice, so the second pass finds the body's lines resident.
+        array, cell, model = hook
+        source = (".text\n        mov     2, %o5\nagain:\n        ba      start\n"
+                  "        nop\nstart:\n        subcc   %o5, 1, %o5\n"
+                  "        bne     again\n        nop\n" + body
+                  + "        mov     3, %o3\n        ta      0\n"
+                  ".data\nout:\n        .space  8\n")
+        site = FaultSite(net=array, bit=0, unit="cmem", index=cell)
+        fast, core = _blocked_pair(assemble(source, name="trap"),
+                                   [PermanentFault(site=site, model=model)], 200)
+        assert fast.trap_kind == kind
+        assert core.block_instructions
+
+    @pytest.mark.parametrize("hook", [
+        ("icache.data", FaultModel.OPEN_LINE),
+        ("icache.tags", FaultModel.STUCK_AT_1),
+        ("icache.valid", FaultModel.OPEN_LINE),
+    ], ids=lambda hook: hook[0])
+    def test_stale_line_under_a_cache_hook(self, hook):
+        array, model = hook
+        # Line 30 / its first cell: code no pass of the program fetches.
+        cell = 30 * 8 if array.endswith(".data") else 30
+        site = FaultSite(net=array, bit=0 if array.endswith(".valid") else 3,
+                         unit="cmem", index=cell)
+        fast, core = _blocked_pair(
+            _stale_line_program(), [PermanentFault(site=site, model=model)]
+        )
+        assert [t.value for t in fast.transactions if t.value in (1, 7)] == [1, 1, 7]
+        assert core.block_instructions
+
+    @pytest.mark.parametrize("array, bit", [("icache.tags", 20),
+                                            ("icache.valid", 0)])
+    def test_open_line_reads_a_missed_probe_after_a_block(self, array, bit):
+        # `far`'s block ends on the first word of a new line.  On the first
+        # pass both its lines are cold, so a block there would leave the
+        # missed probe's old tag and valid bit as the read-port value the
+        # open line on line 0 reads next (at `back`): it steps.  On the
+        # second pass its lines are resident and it runs.
+        source = (
+            ".text\n        mov     2, %o1\n        ba      far\n        nop\n"
+            "back:\n        subcc   %o1, 1, %o1\n        bne     far\n"
+            "        nop\n        ta      0\n" + "        nop\n" * 10
+            + "far:\n        add     %o2, 1, %o2\n        add     %o3, 2, %o3\n"
+            "        add     %o4, 3, %o4\n        add     %o5, 4, %o5\n"
+            "        xor     %o2, %o3, %o2\n        xor     %o4, %o5, %o4\n"
+            "        ba      back\n        or      %o2, %o4, %o3\n"
+        )
+        program = assemble(source, name="missed-probe")
+        assert program.symbols["far"] + 28 == program.entry_point + 0x60
+        site = FaultSite(net=array, bit=bit, unit="cmem", index=0)
+        fast, core = _blocked_pair(
+            program, [PermanentFault(site=site, model=FaultModel.OPEN_LINE)], 200
+        )
+        golden, _ = _blocked_pair(program, max_instructions=200)
+        assert fast.icache_misses != golden.icache_misses  # the open line acts
+        assert core.block_instructions
+
+    def test_clean_run_after_a_faulted_fetch_enters_every_block(self):
+        # The loop is first entered at `mid`, whose block holds the faulted
+        # fetch (``add 1`` turns into ``add 3``) and steps.  The loop head,
+        # translated after that fetch, is cut short before it.  A clean run
+        # on the same core must then enter the blocks a fresh core enters.
+        source = """
+        .text
+        mov     6, %o1
+        mov     0, %o0
+        ba      mid
+        nop
+head:
+        add     %o0, 2, %o0
+mid:
+        add     %o0, 4, %o0
+        add     %o0, 1, %o0
+        subcc   %o1, 1, %o1
+        bne     head
+        nop
+        set     out, %l1
+        st      %o0, [%l1]
+        ta      0
+        .data
+out:
+        .space  8
+"""
+        program = assemble(source, name="enter-mid")
+        mid = program.symbols["mid"] + 4
+        site = FaultSite(net="icache.data", bit=1, unit="cmem",
+                         index=((mid >> 5) & 31) * 8 + ((mid >> 2) & 7))
+        faulted, core = _blocked_pair(
+            program, [PermanentFault(site=site, model=FaultModel.STUCK_AT_1)], 1_000
+        )
+        assert core._foreign  # the head's block was cut short
+        core.clear_faults()
+        core.reload()
+        before = core.block_instructions
+        reused = core.run(max_instructions=1_000)
+        fresh, fresh_core = _blocked_pair(program, max_instructions=1_000)
+        assert reused == fresh != faulted
+        assert core.block_instructions - before == fresh_core.block_instructions
 
     def test_store_rewrites_a_later_instruction_of_its_block(self):
         # The store ends its block; the patched word is in a cached line, so
@@ -762,48 +1077,7 @@ out:
         assert core.block_instructions
 
     def test_stale_line_steps_until_an_eviction_refills_it(self):
-        # Pass 1 runs the loop head from a cached line and patches it; pass 2
-        # runs the stale word, then calls a routine whose line evicts the
-        # patched one, so pass 3 fetches the patch.
-        head = f"""
-        .text
-        set     patch, %o3
-        set     {_patch_word():#010x}, %o4
-        set     out, %l1
-        mov     0, %o5
-loop:
-patch:
-        mov     1, %o0
-        st      %o0, [%l1]
-        cmp     %o5, 2
-        be      done
-        nop
-        cmp     %o5, 1
-        bne     skip
-        nop
-        call    evict
-        nop
-skip:
-        inc     %o5
-        st      %o4, [%o3]
-        ba      loop
-        nop
-done:
-        ta      0
-"""
-        tail = """
-evict:
-        retl
-        nop
-        .data
-out:
-        .space  8
-"""
-        probe = assemble(head + tail, name="stale-line")
-        line_span = 32 * 32  # icache lines x line bytes
-        pad = ((probe.symbols["patch"] - probe.symbols["evict"]) % line_span) // 4
-        program = assemble(head + "        nop\n" * pad + tail, name="stale-line")
-        fast, core = _blocked_pair(program)
+        fast, core = _blocked_pair(_stale_line_program())
         assert [t.value for t in fast.transactions if t.value in (1, 7)] == [1, 1, 7]
         assert core.block_instructions
 

@@ -152,8 +152,32 @@ _ACCESSES = st.lists(
 )
 
 
+def _write_bytewise(memory, address, data):
+    for index, value in enumerate(data):
+        memory.write_byte(address + index, value)
+
+
+def _read_bytewise(memory, address, length):
+    return bytes(memory.read_byte(address + index) for index in range(length))
+
+
+#: Byte ranges from a few bytes to just over two pages, so they straddle one
+#: or two page boundaries (or the top of the address space); the repeated
+#: pattern may be all zeros.
+_RANGES = st.lists(
+    st.tuples(
+        st.sampled_from(["write_bytes", "read_bytes"]),
+        _EDGE_ADDRESSES,
+        st.one_of(st.integers(min_value=0, max_value=24),
+                  st.integers(min_value=PAGE_SIZE - 8, max_value=2 * PAGE_SIZE + 8)),
+        st.binary(min_size=1, max_size=8),
+    ),
+    max_size=6,
+)
+
+
 class TestSliceAccessMatchesBytewise:
-    """Word/half accessors against the byte-wise path they replace."""
+    """Page-slice accessors against the byte-wise path they replace."""
 
     @settings(max_examples=200, deadline=None)
     @given(_ACCESSES)
@@ -165,10 +189,28 @@ class TestSliceAccessMatchesBytewise:
             mask = (1 << (8 * size)) - 1
             if op.startswith("write"):
                 getattr(fast, op)(address, value)
-                bytewise.write_bytes(address, (value & mask).to_bytes(size, "big"))
+                _write_bytewise(bytewise, address, (value & mask).to_bytes(size, "big"))
             else:
-                expected = int.from_bytes(bytewise.read_bytes(address, size), "big")
+                expected = int.from_bytes(_read_bytewise(bytewise, address, size), "big")
                 assert getattr(fast, op)(address) == expected
             # Reads never allocate; writes allocate exactly the touched page.
+            assert fast.allocated_pages() == bytewise.allocated_pages()
+        assert fast._pages == bytewise._pages
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RANGES)
+    def test_byte_ranges_across_page_edges(self, ranges):
+        fast, bytewise = Memory(), Memory()
+        for op, address, length, pattern in ranges:
+            if op == "write_bytes":
+                data = (pattern * length)[:length]
+                fast.write_bytes(address, data)
+                _write_bytewise(bytewise, address, data)
+            else:
+                assert fast.read_bytes(address, length) == _read_bytewise(
+                    bytewise, address, length
+                )
+            # Writes allocate every page they touch (zero bytes too), empty
+            # writes and reads allocate nothing.
             assert fast.allocated_pages() == bytewise.allocated_pages()
         assert fast._pages == bytewise._pages
