@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Lockstep pack throughput: N-way replica packs vs the scalar checkpointed path.
 
+Paperbench phase: the lockstep leg stands for the ISS lockstep packs of
+``seu_lockstep`` (its ISS transient and register-file permanent
+campaigns), the only paperbench workload that runs packs.  A pack-runtime
+speedup here shrinks that phase of ``seu_lockstep``'s ``wall_s``.
+
 Runs the same ISS transient campaign plan — storage-cell sites x sampled
 start times, the exact job list ``CampaignEngine`` plans — twice:
 
@@ -213,7 +218,8 @@ def main() -> int:
     total_injections = 0
     total_scalar_s = 0.0
     total_fast_s = 0.0
-    print(f"Lockstep pack throughput: {len(args.workloads)} workloads, "
+    print(f"Lockstep pack throughput (paperbench phase: seu_lockstep ISS "
+          f"packs): {len(args.workloads)} workloads, "
           f"{args.sites} sites x {args.windows} windows each, "
           f"width {args.width}")
     for name in args.workloads:

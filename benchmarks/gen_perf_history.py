@@ -18,7 +18,8 @@ early-convergence exit — so the generator renders a campaign-dynamics table
 per trajectory too.  Pass ``--manifest run-manifest.json`` (the output of
 ``repro campaign metrics --json``, see :mod:`repro.obs`) to additionally
 fold one stored run manifest's headline metrics (cache-hit ratio, demotion
-reasons, splice rate) into the page.
+reasons, splice rate) into the page; without it, the manifest section the
+page already holds is kept.
 
 Speedup ratios are machine-portable; the absolute rates carry the recording
 machine's ``cpu_count``/``python`` stamp and are context only.
@@ -143,7 +144,7 @@ def _manifest_section(path: Path) -> list:
     metrics = manifest.get("metrics", {})
     counters = metrics.get("counters", {})
     lines = [
-        f"## Latest run manifest (`{path.name}`)",
+        f"{MANIFEST_HEADING} (`{path.name}`)",
         "",
         f"Recorded {manifest.get('created_at', '—')}, wall clock "
         f"{manifest.get('wall_seconds', 0.0):.2f}s.",
@@ -189,7 +190,29 @@ def _speedup(record) -> str:
     return "—" if speedup is None else f"{speedup:.2f}x"
 
 
-def render(manifest_path: Path = None) -> str:
+#: Heading of the run-manifest section (see :func:`_manifest_section`).
+MANIFEST_HEADING = "## Latest run manifest"
+
+
+def _kept_manifest_section(previous: str) -> list:
+    """The run-manifest section of a previously rendered page (``[]`` when
+    it has none), so regenerating without ``--manifest`` keeps it."""
+    lines = previous.splitlines()
+    for start, line in enumerate(lines):
+        if line.startswith(MANIFEST_HEADING):
+            break
+    else:
+        return []
+    end = start + 1
+    while end < len(lines) and not lines[end].startswith("## "):
+        end += 1
+    return lines[start:end] + [""]
+
+
+def render(manifest_path: Path = None, previous: str = "") -> str:
+    """The page: every history's tables, then the run-manifest section —
+    *manifest_path*'s, else the one kept from *previous* (the page as last
+    rendered)."""
     lines = [
         "# Throughput history",
         "",
@@ -233,6 +256,8 @@ def render(manifest_path: Path = None) -> str:
     lines.extend(_dynamics_sections())
     if manifest_path is not None:
         lines.extend(_manifest_section(manifest_path))
+    else:
+        lines.extend(_kept_manifest_section(previous))
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -247,7 +272,8 @@ def main() -> int:
                              "into the page; expects the output of "
                              "`repro campaign metrics --json`")
     args = parser.parse_args()
-    text = render(args.manifest)
+    previous = OUTPUT_PATH.read_text() if OUTPUT_PATH.exists() else ""
+    text = render(args.manifest, previous)
     if args.stdout:
         print(text, end="")
     else:

@@ -55,6 +55,7 @@ from repro.rtl.sites import FaultSite, SiteUniverse
 
 if TYPE_CHECKING:
     from repro.engine.checkpoint import _CheckpointRunnerBase
+    from repro.engine.lockstep import GoldenTimelines
 
 #: Head-room factor applied to the golden instruction count to detect hangs.
 WATCHDOG_FACTOR = 2.0
@@ -320,6 +321,9 @@ class IssBackend:
     inert screen serves ISS campaigns as it serves RTL ones.  ``%g0``
     ignores writes and reports unread; the other registers report every
     bit changed, so the open-line model (a ``bit_flip``) is never screened.
+    ``run(record_touches=True)`` also records the lockstep runtime's golden
+    touch timelines (:class:`~repro.engine.lockstep.TouchRecorder`) into
+    :attr:`touch_timelines` on the same pass.
     """
 
     name = "iss"
@@ -341,6 +345,10 @@ class IssBackend:
         #: ``(array, register)``; ``None`` when it watched none (or ran on
         #: the reference interpreter).
         self.cell_reads: Optional[Dict[Tuple[str, int], CellReads]] = None
+        #: The lockstep runtime's golden touch timelines, recorded by the
+        #: latest run when it was asked to (``record_touches``, fast
+        #: interpreter, fault-free); else ``None``.
+        self.touch_timelines: Optional["GoldenTimelines"] = None
 
     def prepare(self, program: Program) -> None:
         self._program = program
@@ -378,13 +386,16 @@ class IssBackend:
         ] = (),
         *,
         watch: Sequence[FaultSite] = (),
+        record_touches: bool = False,
     ) -> RunResult:
         if self._program is None:
             raise RuntimeError("backend not prepared: call prepare(program) first")
         self.cell_reads = None
+        self.touch_timelines = None
         arch_faults = [self._to_architectural(fault) for fault in faults]
         if len(arch_faults) > 1:
             raise ValueError("the ISS backend supports a single fault per run")
+        recorder = None
         if self.fast:
             fast = FastEmulator(
                 memory=Memory(),
@@ -393,6 +404,11 @@ class IssBackend:
             )
             if watch:
                 self.cell_reads = self._watch(fast, watch)
+            if record_touches:
+                from repro.engine.lockstep import TouchRecorder
+
+                recorder = TouchRecorder(fast.registers)
+                fast.observe(recorder)
             emulator: Emulator = fast
         elif arch_faults:
             emulator = _FaultyEmulator(
@@ -402,6 +418,8 @@ class IssBackend:
             emulator = Emulator(memory=Memory(), detailed_trace=self.detailed_trace)
         emulator.load_program(self._program)
         native: ExecutionResult = emulator.run(max_instructions=max_instructions)
+        if recorder is not None:
+            self.touch_timelines = recorder.timelines()
         trap_kind = self.normalize_trap_kind(native.trap)
         return RunResult(
             backend=self.name,

@@ -58,6 +58,7 @@ from repro.engine.backend import (
     RunResult,
 )
 from repro.engine.checkpoint import make_checkpoint_runner
+from repro.engine.lockstep import GoldenTimelines, packs_enabled
 from repro.engine.jobs import (
     CampaignJob,
     CampaignPlan,
@@ -285,6 +286,8 @@ class CampaignEngine:
         self._sites: Optional[List[FaultSite]] = None
         #: Inert screen built by the golden run (``None`` when unwatched).
         self._screen: Optional[InertScreen] = None
+        #: Golden touch timelines of a campaign that runs lockstep packs.
+        self._timelines: Optional[GoldenTimelines] = None
         #: Planner-local checkpoint runner of a transient campaign (its
         #: ladder recording doubles as the golden run; the serial scheduler
         #: reuses it through the plan, workers build their own).
@@ -350,23 +353,28 @@ class CampaignEngine:
 
         A permanent campaign on the fast RTL core or the fast ISS watches the
         sampled storage cells (registers) while its golden executes, and
-        keeps the reads as the plan's inert screen.
+        keeps the reads as the plan's inert screen.  A campaign that will
+        run lockstep packs records their golden touch timelines on the same
+        pass (the ladder's, or the watched run's).
         """
         if self._golden is None:
             config = self.config
             watch = self._watch_sites()
+            record_touches = packs_enabled(self.backend, config.lockstep_width)
             runner = None
             if config.transient:
                 runner = make_checkpoint_runner(
                     self.backend,
                     config.max_instructions,
                     config.checkpoint_interval,
+                    record_touches,
                 )
                 if runner is not None:
                     self._runner = runner
             with TELEMETRY.span("golden"):
-                golden = _run_golden(
-                    self.backend, config.max_instructions, runner, watch
+                golden, self._timelines = _run_golden(
+                    self.backend, config.max_instructions, runner, watch,
+                    record_touches,
                 )
             if watch:
                 self._screen = cast(
@@ -509,6 +517,7 @@ class CampaignEngine:
             runner=self._runner,
             lockstep_width=self.config.lockstep_width,
             screen=self._screen,
+            timelines=self._timelines,
         )
 
     def store_key(self) -> str:
@@ -806,6 +815,7 @@ class CampaignEngine:
                     runner=self._runner,
                     lockstep_width=config.lockstep_width,
                     screen=self._screen,
+                    timelines=self._timelines,
                 )
                 scheduler = make_scheduler(
                     config.scheduler, config.n_workers, config.chunk_size

@@ -56,7 +56,7 @@ from repro.rtl.faults import TransientFault
 from repro.engine.backend import ARCH_REGFILE_NET, RunResult
 
 if TYPE_CHECKING:
-    from repro.engine.lockstep import LockstepPackRunner
+    from repro.engine.lockstep import GoldenTimelines, LockstepPackRunner
 from repro.obs.telemetry import TELEMETRY
 
 #: Starting rung spacing of the adaptive ladder (instructions).  Small enough
@@ -227,6 +227,9 @@ class _CheckpointRunnerBase:
         self.early_exits = 0
         #: Jobs that could not fork (unsupported site) and ran from reset.
         self.from_reset_runs = 0
+        #: The golden touch timelines the ladder recording took for the
+        #: lockstep runtime (ISS runners asked to record them), else ``None``.
+        self.touch_timelines: Optional["GoldenTimelines"] = None
 
     def ladder(self) -> CheckpointLadder:
         """The golden ladder (recorded on first use, then reused)."""
@@ -335,9 +338,16 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
     """
 
     def __init__(
-        self, backend: Any, max_instructions: int, interval: Optional[int]
+        self,
+        backend: Any,
+        max_instructions: int,
+        interval: Optional[int],
+        record_touches: bool = False,
     ) -> None:
         super().__init__(backend, max_instructions, interval)
+        #: Record the lockstep runtime's golden touch timelines while the
+        #: ladder records (the campaign will run packs).
+        self._record_touches = record_touches
         self._emulator: Optional[FastEmulator] = None
         self._base_pages: Dict[int, bytes] = {}
 
@@ -360,6 +370,12 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
         self._base_pages = {
             index: bytes(page) for index, page in emulator.memory._pages.items()
         }
+        recorder = None
+        if self._record_touches:
+            from repro.engine.lockstep import TouchRecorder
+
+            recorder = TouchRecorder(emulator.registers)
+            emulator.observe(recorder)
         checkpoints = [
             Checkpoint(
                 instructions=0, cycles=0,
@@ -391,6 +407,9 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
                 )
             )
             interval = self._maybe_thin(checkpoints, interval)
+        if recorder is not None:
+            emulator.observe(None)
+            self.touch_timelines = recorder.timelines()
         golden = self._package(transactions, counts, executed, final)
         return CheckpointLadder(
             interval=interval, checkpoints=checkpoints,
@@ -472,11 +491,13 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
         replicas splice the same golden tail)."""
         from repro.engine.lockstep import LockstepPackRunner
 
+        ladder = self.ladder()
         return LockstepPackRunner(
             self._backend,
             self._max_instructions,
             width,
-            ladder=self.ladder(),
+            ladder=ladder,
+            timelines=self.touch_timelines,
         )
 
 
@@ -620,15 +641,20 @@ def make_checkpoint_runner(
     backend: Any,
     max_instructions: int,
     interval: Optional[int] = None,
+    record_touches: bool = False,
 ) -> Optional[_CheckpointRunnerBase]:
     """Build the checkpoint runner for *backend*, or ``None`` when the
     backend cannot checkpoint (reference engines, detailed tracing).
 
     *interval* pins the rung spacing; ``None`` (the default) selects the
     adaptive ladder, whose spacing scales with the golden run's length.
+    *record_touches* has an ISS runner record the lockstep runtime's golden
+    touch timelines with its ladder (see :attr:`touch_timelines`).
     """
     if not getattr(backend, "supports_checkpoints", False):
         return None
     if backend.name == "iss":
-        return IssCheckpointRunner(backend, max_instructions, interval)
+        return IssCheckpointRunner(
+            backend, max_instructions, interval, record_touches
+        )
     return RtlCheckpointRunner(backend, max_instructions, interval)

@@ -136,6 +136,11 @@ class CampaignPlan:
     #: Inert screen built by a permanent plan's watched golden run; ``None``
     #: runs every job.  Shipped to pool workers.
     screen: Optional[InertScreen] = None
+    #: The lockstep runtime's golden touch timelines, recorded by the
+    #: planner's golden run (a transient plan's by ``runner``'s ladder) when
+    #: the plan runs packs.  Not sent to workers: each records its own with
+    #: its golden.
+    timelines: Optional[object] = None
 
     @property
     def transient(self) -> bool:

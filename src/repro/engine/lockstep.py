@@ -63,17 +63,23 @@ honour, enforced by ``tests/test_lockstep.py`` and re-verified by
   splicing the golden tail are the same operation.
 
 * **Event-driven front end** — the golden trajectory is fixed, so the runner
-  records (once, lazily) a *touch timeline*: for every physical slot,
-  pseudo-slot and accessed memory word, the sorted executed-instruction
-  indices where the golden run reads or writes it, plus a *write timeline*
-  of the register writes and window moves.  Between events — the next fault
-  trigger, the next golden touch of any live delta slot, and the boundary
-  after the next golden write of a stuck-at's slot (or window move, for a
-  window register) — nothing in the pack can change, so the leader
-  fast-forwards at full scalar speed (restoring the latest golden ladder
-  rung first, which forks the whole pack from the checkpoint in one
-  restore) and the per-instruction pack bookkeeping runs *only* on the
-  instructions that can matter.  Replicas whose fault lands in ``%g0`` or
+  has a *touch timeline*: for every physical slot, pseudo-slot and accessed
+  memory word, the sorted executed-instruction indices where the golden run
+  reads or writes it, plus a *write timeline* of the register writes and
+  window moves.  A :class:`TouchRecorder` records both on compiled blocks,
+  as a block observer of the golden run the campaign already makes (the
+  transient ladder's, or the permanent plan's watched golden): per block it
+  logs the entry index, and expands a slot's list on the sweep's first
+  query.  A runner built without them records its own on the same recorder.
+  In a warm ``seu_lockstep`` pass on a 2-CPU container this replaced a
+  stepped replay of every golden (0.53–0.65 s) with 0.06–0.08 s inside the
+  goldens.  Between events — the next fault trigger, the next golden touch
+  of any live delta slot, and the boundary after the next golden write of a
+  stuck-at's slot (or window move, for a window register) — nothing in the
+  pack can change, so the leader fast-forwards at full scalar speed
+  (restoring the latest golden ladder rung first, which forks the whole
+  pack from the checkpoint in one restore) and the per-instruction pack
+  bookkeeping runs *only* on the instructions that can matter.  Replicas whose fault lands in ``%g0`` or
   in a never-touched slot therefore cost almost nothing — exactly the runs
   that are the scalar runtime's worst case (a dead-register flip never
   digest-matches and runs to the golden end).  One sweep serves transient
@@ -101,7 +107,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.isa.ccodes import ConditionCodes, evaluate_condition
 from repro.isa.decoder import DecodeError
@@ -123,9 +129,12 @@ from repro.engine.checkpoint import (
 from repro.obs.telemetry import TELEMETRY, TelemetryRegistry
 
 __all__ = [
+    "GoldenTimelines",
     "LockstepPackRunner",
     "PackOutcome",
+    "TouchRecorder",
     "make_pack_runner",
+    "packs_enabled",
 ]
 
 _PLAIN_LOADS = frozenset({"ld", "ldub", "lduh", "ldsb", "ldsh"})
@@ -144,6 +153,10 @@ _Key = Union[int, str]
 _MemInfo = Tuple[Tuple[_Key, ...], Tuple[_Key, ...], bool, bool]
 
 _MEM_KEY_BASE = 0x1_0000_0000
+
+#: A recorded load/store: ``(offset, rs1 slot, rs2 slot or None, immediate,
+#: is_double)`` (see :class:`_TouchPlan`).
+_MemOp = Tuple[int, int, Optional[int], int, bool]
 
 _BRANCH_HANDLER = _fastpath._h_branch
 _TICC_HANDLER = _fastpath._h_ticc
@@ -269,6 +282,14 @@ def _arch_effects(
     return inputs, outputs, None, handler in _PROPAGATE_HANDLERS, None
 
 
+def _slot_of(registers: Any, register: int, cwp: int) -> int:
+    """The physical slot of architectural *register* under window *cwp*
+    (``%g0`` maps to slot 0)."""
+    if register < NUM_GLOBALS:
+        return register
+    return NUM_GLOBALS + registers._physical_index(register, cwp)
+
+
 class _EffectsCache:
     """Physical-slot input/output sets, memoised per cached op per CWP.
 
@@ -345,6 +366,238 @@ class _EffectsCache:
         return effects
 
 
+class _TouchPlan:
+    """The golden touches of one recorded unit — a compiled block, or one
+    stepped op — at one CWP, and the indices it ran from.
+
+    *touches* / *writes* map each key to the offsets (from the unit's first
+    instruction, ascending, one per mark) where the unit touches it / writes
+    it.  *at_entry* and *at_exit* list the unit's load/store ops as
+    ``(offset, rs1 slot, rs2 slot or None, immediate, is_double)``, split by
+    when the register file holds their address registers' values: at unit
+    entry (no earlier instruction of the unit writes them) or at its exit
+    (neither the op nor a later one does).  Slot ``0`` is ``%g0``, which
+    reads 0.  *runs* maps an instructions-ran count to the executed indices
+    the unit was entered at.
+    """
+
+    __slots__ = ("touches", "writes", "at_entry", "at_exit", "runs")
+
+    def __init__(self) -> None:
+        self.touches: Dict[_Key, List[int]] = {}
+        self.writes: Dict[_Key, List[int]] = {}
+        self.at_entry: Tuple[_MemOp, ...] = ()
+        self.at_exit: Tuple[_MemOp, ...] = ()
+        self.runs: Dict[int, List[int]] = {}
+
+
+class _Timeline(dict):
+    """Key -> the sorted executed-instruction indices of its golden marks.
+
+    Memory-word keys are filled as the golden runs; a register or pseudo-slot
+    key is expanded from the plans that mark it the first time it is looked
+    up (``timeline[key]``; an unmarked key reads ``[]``), since a sweep asks
+    for only a minority of them.
+    """
+
+    def __init__(self, plans: Dict[_Key, List[_TouchPlan]], field: str,
+                 eager: Optional[Dict[_Key, List[int]]] = None) -> None:
+        super().__init__(eager or {})
+        self._plans = plans
+        self._field = field
+
+    def __missing__(self, key: _Key) -> List[int]:
+        indices: List[int] = []
+        for plan in self._plans.get(key, ()):
+            offsets = getattr(plan, self._field)[key]
+            for ran, entries in plan.runs.items():
+                for offset in offsets:
+                    if offset >= ran:
+                        break
+                    indices.extend([entry + offset for entry in entries])
+        indices.sort()
+        self[key] = indices
+        return indices
+
+    def expanded(self) -> Dict[_Key, List[int]]:
+        """Every marked key's list (the whole timeline, expanded)."""
+        keys = set(self._plans) | set(dict.keys(self))
+        return {key: self[key] for key in keys if self[key]}
+
+
+class GoldenTimelines(NamedTuple):
+    """The golden run's touch timeline and write timeline (see
+    :class:`LockstepPackRunner`)."""
+
+    touches: _Timeline
+    writes: _Timeline
+
+
+class TouchRecorder:
+    """Records a golden run's :class:`GoldenTimelines` as a block observer of
+    the :class:`FastEmulator` that runs it (``emulator.observe(recorder)``).
+
+    Each block is planned once: the touch and write slots of each of its
+    instructions at the CWP it runs under (:class:`_EffectsCache`, the one
+    definition of the slots the sweep propagates through), and its memory
+    ops.  A memory op's accessed words are computed from the register file
+    at block entry when no earlier instruction of the block writes one of
+    its address slots, else at block exit when neither it nor a later one
+    does; a block with an op that fits neither gets no plan and steps.
+    (``save``/``restore`` only move the CWP, so a physical slot keeps its
+    value across them.)  Stepped ops are recorded one by one, from the
+    register file before they execute.  A block entry costs one log append
+    per (block, instructions ran) plus the words of its memory ops; the
+    register lists are expanded lazily (:class:`_Timeline`).
+    """
+
+    def __init__(self, registers: Any) -> None:
+        self._registers = registers
+        self._effects = _EffectsCache(registers)
+        self._block_plans: Dict[Any, Optional[_TouchPlan]] = {}
+        #: (op, CWP) -> the plan of the op stepped alone.
+        self._op_plans: Dict[Tuple[Any, int], _TouchPlan] = {}
+        self._touching: Dict[_Key, List[_TouchPlan]] = {}
+        self._writing: Dict[_Key, List[_TouchPlan]] = {}
+        self._words: Dict[_Key, List[int]] = {}
+        #: (offset, word keys) of the entered block's ``at_entry`` ops.
+        self._entry_words: List[Tuple[int, Tuple[int, ...]]] = []
+        #: Executed instructions so far (across runs: a ladder runs slices).
+        self.executed = 0
+
+    def timelines(self) -> GoldenTimelines:
+        return GoldenTimelines(
+            _Timeline(self._touching, "touches", self._words),
+            _Timeline(self._writing, "writes"),
+        )
+
+    def _plan(self, ops: Sequence[Any], cwp: int) -> Optional[_TouchPlan]:
+        plan = _TouchPlan()
+        memory = []
+        nwindows = self._registers.nwindows
+        for offset, op in enumerate(ops):
+            _, _, _, mem, touches, writes = self._effects.get(op, cwp)
+            if mem is not None:
+                memory.append((offset, mem[0], (
+                    offset,
+                    _slot_of(self._registers, op.rs1, cwp),
+                    None if op.use_imm
+                    else _slot_of(self._registers, op.rs2, cwp),
+                    op.imm_u32,
+                    mem[3],
+                )))
+            for key in touches:
+                plan.touches.setdefault(key, []).append(offset)
+            for key in writes:
+                plan.writes.setdefault(key, []).append(offset)
+            if op.mnemonic == "save":
+                cwp = (cwp + 1) % nwindows
+            elif op.mnemonic == "restore":
+                cwp = (cwp - 1) % nwindows
+        at_entry = []
+        at_exit = []
+        for offset, address_slots, memory_op in memory:
+            written_at = [
+                at for slot in address_slots for at in plan.writes.get(slot, ())
+            ]
+            if all(at >= offset for at in written_at):
+                at_entry.append(memory_op)
+            elif all(at < offset for at in written_at):
+                at_exit.append(memory_op)
+            else:
+                return None
+        plan.at_entry = tuple(at_entry)
+        plan.at_exit = tuple(at_exit)
+        for key in plan.touches:
+            self._touching.setdefault(key, []).append(plan)
+        for key in plan.writes:
+            self._writing.setdefault(key, []).append(plan)
+        return plan
+
+    def _word_keys(
+        self, memory_ops: Tuple[_MemOp, ...]
+    ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """(offset, accessed word keys) of *memory_ops*, from the register
+        file as it stands."""
+        registers = self._registers
+        g = registers._globals
+        w = registers._windows
+        out = []
+        for offset, first, second, imm, is_double in memory_ops:
+            address = g[first] if first < NUM_GLOBALS else w[first - NUM_GLOBALS]
+            if second is None:
+                address += imm
+            else:
+                address += (g[second] if second < NUM_GLOBALS
+                            else w[second - NUM_GLOBALS])
+            address &= 0xFFFFFFFF
+            if is_double:
+                keys = (_MEM_KEY_BASE + address, _MEM_KEY_BASE + address + 4)
+            else:
+                keys = (_MEM_KEY_BASE + (address & ~3),)
+            out.append((offset, keys))
+        return out
+
+    def _log(self, plan: _TouchPlan, entry: int, ran: int,
+             words: List[Tuple[int, Tuple[int, ...]]]) -> None:
+        entries = plan.runs.get(ran)
+        if entries is None:
+            plan.runs[ran] = [entry]
+        else:
+            entries.append(entry)
+        for offset, keys in words:
+            if offset < ran:
+                for key in keys:
+                    indices = self._words.get(key)
+                    if indices is None:
+                        self._words[key] = [entry + offset]
+                    else:
+                        indices.append(entry + offset)
+
+    # -- the block-observer protocol ----------------------------------------------
+
+    def start(self) -> None:
+        pass
+
+    def plan(self, block: Any) -> Optional[_TouchPlan]:
+        plan = self._block_plans.get(block, _UNPLANNED)
+        if plan is _UNPLANNED:
+            plan = self._block_plans[block] = self._plan(
+                block.ops, self._registers.cwp
+            )
+        if plan is not None and plan.at_entry:
+            self._entry_words = self._word_keys(plan.at_entry)
+        return plan
+
+    def after_block(self, plan: _TouchPlan, ran: int) -> None:
+        entry = self.executed
+        self.executed = entry + ran
+        words = self._entry_words if plan.at_entry else []
+        if plan.at_exit:
+            # Word lists stay sorted: log the block's accesses in order.
+            words = sorted(words + self._word_keys(plan.at_exit))
+        self._log(plan, entry, ran, words)
+
+    def before_op(self, op: Any) -> None:
+        key = (op, self._registers.cwp)
+        plan = self._op_plans.get(key)
+        if plan is None:
+            plan = self._plan((op,), key[1])
+            assert plan is not None  # one op reads its addresses at entry
+            self._op_plans[key] = plan
+        entry = self.executed
+        self.executed = entry + 1
+        self._log(plan, entry, 1,
+                  self._word_keys(plan.at_entry) if plan.at_entry else [])
+
+    def after_op(self, op: Any) -> None:
+        pass
+
+
+#: ``TouchRecorder._block_plans`` lookup default for a block not planned yet.
+_UNPLANNED = object()
+
+
 class _Replica:
     """One pack member: its fault plus its sparse divergence from the leader."""
 
@@ -403,9 +656,10 @@ class LockstepPackRunner:
     whole packs from golden rungs and demoted replicas splice the golden
     tail; without one (permanent campaigns) the leader sweeps from reset and
     demoted replicas run to their own end.  Construction is cheap next to a
-    golden run; the leader, the demotion emulator and the lazily recorded
-    touch timeline are all reused across packs, mirroring the per-worker
-    backend reuse of the schedulers.
+    golden run; the leader, the demotion emulator and the touch timelines
+    (*timelines*, recorded by the campaign's golden run, else on first use)
+    are all reused across packs, mirroring the per-worker backend reuse of
+    the schedulers.
     """
 
     def __init__(
@@ -414,6 +668,7 @@ class LockstepPackRunner:
         max_instructions: int,
         width: int,
         ladder: Optional[CheckpointLadder] = None,
+        timelines: Optional[GoldenTimelines] = None,
     ) -> None:
         if width < 1:
             raise ValueError(f"lockstep width must be >= 1, got {width}")
@@ -442,13 +697,17 @@ class LockstepPackRunner:
             self._reset_payload = leader.capture_state(self._base_pages)
             self._rung_times = []
         self._effects = _EffectsCache(leader.registers)
-        #: Slot / pseudo-slot -> sorted executed-instruction indices where
-        #: the golden run reads or writes it.  Recorded lazily, once.
-        self._timeline: Optional[Dict[_Key, List[int]]] = None
+        #: Slot / pseudo-slot / memory word -> sorted executed-instruction
+        #: indices where the golden run reads or writes it.  Recorded by the
+        #: campaign's golden run (*timelines*), else once, on first use.
+        self._timeline: Optional[_Timeline] = None
         #: Register slot -> the indices where the golden run writes it, and
         #: ``"cwp"`` -> the indices of its window moves: the instructions
         #: after which a stuck-at can act.  Recorded with the timeline.
-        self._write_timeline: Dict[_Key, List[int]] = {}
+        self._write_timeline: Optional[_Timeline] = None
+        if timelines is not None:
+            self._timeline, self._write_timeline = timelines
+            TELEMETRY.inc("lockstep.timeline", labels={"source": "golden"})
         #: Golden result / final-state capture, taken from the ladder or
         #: recorded lazily by the first sweep that needs it.
         self._golden_result: Optional[RunResult] = (
@@ -515,17 +774,12 @@ class LockstepPackRunner:
             return self._leader.y_register
         return self._leader_slot_value(key)
 
-    def _slot_of(self, register: int, cwp: int) -> int:
-        if register < NUM_GLOBALS:
-            return register
-        return NUM_GLOBALS + self._leader.registers._physical_index(register, cwp)
-
     def _replica_reg(self, replica: "_Replica", register: int, cwp: int) -> int:
         """The replica's architectural view of *register* (its delta value
         where one exists, else the shared leader value; ``%g0`` reads 0)."""
         if register == 0:
             return 0
-        slot = self._slot_of(register, cwp)
+        slot = _slot_of(self._leader.registers, register, cwp)
         value = replica.delta.get(slot)
         return self._leader_slot_value(slot) if value is None else value
 
@@ -576,90 +830,23 @@ class LockstepPackRunner:
 
     # -- the golden touch timeline ------------------------------------------------
 
-    def _ensure_timeline(self) -> Dict[_Key, List[int]]:
-        """Record, once, the executed-instruction indices at which the golden
-        run touches (reads or writes) each physical slot and pseudo-slot,
-        and the write timeline beside it.
-
-        The recording pass steps the golden stream on the demotion emulator
-        (which is restored before every other use, so the mutation is free)
-        with the same annul-skip / decode / execute ordering as
-        :meth:`_step_pack`; reads and writes land in one merged list because
-        the event step itself sorts out which touches propagate, demote or
-        converge.
-        """
-        if self._timeline is not None:
-            return self._timeline
-        emulator = self._demote_emulator
-        emulator.restore_state(self._reset_payload, self._base_pages, 0, None)
-        effects = self._effects
-        timeline: Dict[_Key, List[int]] = {}
-        timeline_get = timeline.get
-        writes: Dict[_Key, List[int]] = {}
-        scratch: List[Any] = []
-        executed = 0
-        budget = self._max_instructions
-        while executed < budget:
-            if emulator._annul_next:
-                emulator._annul_next = False
-                emulator.pc = emulator.npc
-                emulator.npc += 4
-                continue
-            pc = emulator.pc
-            op = emulator._decode_cache.get(pc)
-            if op is None:
-                try:
-                    op = emulator._fill(pc)
-                except (MemoryError_, DecodeError):
-                    break
-            _, _, _, memory, touches, written = effects.get(
-                op, emulator.registers.cwp
-            )
-            for key in touches:
-                lst = timeline_get(key)
-                if lst is None:
-                    timeline[key] = [executed]
-                else:
-                    lst.append(executed)
-            for key in written:
-                writes.setdefault(key, []).append(executed)
-            if memory is not None:
-                # The accessed words count as touches too: a load from a
-                # replica's dirty word must propagate, a store over one must
-                # reconcile (converge or re-diverge) the replica's view.
-                read = emulator.registers.read
-                address = (
-                    read(op.rs1) + (op.imm_u32 if op.use_imm else read(op.rs2))
-                ) & 0xFFFFFFFF
-                if memory[3]:
-                    word_keys = (_MEM_KEY_BASE + address,
-                                 _MEM_KEY_BASE + address + 4)
-                else:
-                    word_keys = (_MEM_KEY_BASE + (address & ~3),)
-                for key in word_keys:
-                    lst = timeline_get(key)
-                    if lst is None:
-                        timeline[key] = [executed]
-                    else:
-                        lst.append(executed)
-            executed += 1
+    def _ensure_timeline(self) -> _Timeline:
+        """The golden touch timeline, recording it on the first call when the
+        runner was built without one: a golden pass on the demotion emulator
+        (restored before every other use, so the pass is free to move it)
+        with a :class:`TouchRecorder` observing it."""
+        if self._timeline is None:
+            emulator = self._demote_emulator
+            emulator.restore_state(self._reset_payload, self._base_pages, 0, None)
+            recorder = TouchRecorder(emulator.registers)
+            emulator.observe(recorder)
             try:
-                outcome = op.handler(emulator, op, pc, scratch)
-            except (RegisterWindowError, MemoryError_, ZeroDivisionError,
-                    SimulationError):
-                break
-            if outcome is None:
-                emulator.pc = emulator.npc
-                emulator.npc += 4
-            elif type(outcome) is tuple:
-                emulator.pc = emulator.npc
-                emulator.npc = outcome[0]
-                emulator._annul_next = outcome[1]
-            else:
-                break  # the golden exit trap
-        self._timeline = timeline
-        self._write_timeline = writes
-        return timeline
+                emulator.run(max_instructions=self._max_instructions)
+            finally:
+                emulator.observe(None)
+            self._timeline, self._write_timeline = recorder.timelines()
+            TELEMETRY.inc("lockstep.timeline", labels={"source": "own_pass"})
+        return self._timeline
 
     # -- packaging ----------------------------------------------------------------
 
@@ -965,7 +1152,7 @@ class LockstepPackRunner:
         outs: Dict[_Key, int] = {}
         for register, value in pairs:
             if register:
-                outs[self._slot_of(register, cwp)] = value
+                outs[_slot_of(self._leader.registers, register, cwp)] = value
         return outs
 
     def _replica_store_effects(
@@ -1092,7 +1279,8 @@ class LockstepPackRunner:
         # everything in between fast-forwards at full scalar speed.
         timeline = self._ensure_timeline()
         writes = self._write_timeline
-        moves = writes.get("cwp", [])
+        assert writes is not None  # recorded with the timeline
+        moves = writes["cwp"]
         #: Stuck-at replica -> the next boundary at which its fault may act.
         due = {replica: 0 for replica in sticky}
         while True:
@@ -1109,7 +1297,7 @@ class LockstepPackRunner:
                     boundary = self._max_instructions
                     if slot is not None:
                         for indices in (
-                            writes.get(slot, ()),
+                            writes[slot],
                             moves if replica.fault.register >= 8 else (),
                         ):
                             position = bisect_left(indices, executed)
@@ -1121,7 +1309,7 @@ class LockstepPackRunner:
                 ):
                     next_event = boundary
             for key in live_slots:
-                indices = timeline.get(key)
+                indices = timeline[key]
                 if not indices:
                     continue
                 position = bisect_left(indices, executed)
@@ -1169,9 +1357,14 @@ class LockstepPackRunner:
                 break
 
         # Leader finished (golden halt, budget, or nothing left to watch):
-        # package the golden result and resolve everything still riding.
+        # package the golden result — only a leader at the golden end holds
+        # it; one that stopped early because every replica already has its
+        # own result leaves it to a later pack — and resolve everything
+        # still riding.
         self._fold_pending()
-        if self._golden_result is None:
+        if self._golden_result is None and (
+            halted_flag or self._executed >= self._max_instructions
+        ):
             if halt_trap is None and not halted_flag:
                 halt_trap = TrapEvent(
                     "watchdog", leader.pc, "instruction budget exhausted"
@@ -1610,26 +1803,39 @@ class LockstepPackRunner:
         self.in_pack_convergences += 1
 
 
+def packs_enabled(backend: Any, width: int) -> bool:
+    """Whether :func:`make_pack_runner` builds a pack runtime for *backend*:
+    width above 1 (the scalar path *is* the pack of one), the ISS backend
+    (the RTL engine has no shared-front-end replay) on its fast,
+    snapshot-capable interpreter.  Only then does a golden run record
+    :class:`GoldenTimelines`."""
+    return (
+        width > 1
+        and getattr(backend, "name", None) == "iss"
+        and getattr(backend, "supports_checkpoints", False)
+    )
+
+
 def make_pack_runner(
     backend: Any,
     max_instructions: int,
     width: int,
     runner: Optional[Any] = None,
+    timelines: Optional[GoldenTimelines] = None,
 ) -> Optional[LockstepPackRunner]:
     """Build the lockstep pack runtime for *backend*, or ``None`` when packs
-    cannot help: width 1 (the scalar path *is* the pack of one), non-ISS
-    backends (the RTL engine has no shared-front-end replay) or reference /
-    detailed-trace interpreters (no snapshot API).  *runner* — the plan's
+    cannot help (see :func:`packs_enabled`).  *runner* — the plan's
     :class:`~repro.engine.checkpoint.IssCheckpointRunner` — donates its
     golden ladder so the pack forks from the same rungs the scalar runtime
-    uses."""
-    if width <= 1:
-        return None
-    if getattr(backend, "name", None) != "iss":
-        return None
-    if not getattr(backend, "supports_checkpoints", False):
+    uses, and the touch timelines its ladder recording took; *timelines*
+    are those of a permanent plan's golden run."""
+    if not packs_enabled(backend, width):
         return None
     ladder = None
     if runner is not None and hasattr(runner, "ladder"):
         ladder = runner.ladder()
-    return LockstepPackRunner(backend, max_instructions, width, ladder=ladder)
+        if timelines is None:
+            timelines = runner.touch_timelines
+    return LockstepPackRunner(
+        backend, max_instructions, width, ladder=ladder, timelines=timelines
+    )

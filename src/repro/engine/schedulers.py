@@ -60,14 +60,14 @@ from repro.engine.jobs import (
     TransientJob,
     screened,
 )
-from repro.engine.lockstep import make_pack_runner
+from repro.engine.lockstep import make_pack_runner, packs_enabled
 from repro.obs.events import EventLog
 from repro.obs.telemetry import TELEMETRY
 from repro.rtl.sites import FaultSite
 
 if TYPE_CHECKING:
     from repro.engine.checkpoint import _CheckpointRunnerBase
-    from repro.engine.lockstep import LockstepPackRunner
+    from repro.engine.lockstep import GoldenTimelines, LockstepPackRunner
     from repro.isa.assembler import Program
 
 OutcomeCallback = Callable[[OutcomeRecord], None]
@@ -237,7 +237,8 @@ def plan_runner(
     if plan.runner is not None:
         return cast("_CheckpointRunnerBase", plan.runner)
     return make_checkpoint_runner(
-        backend, plan.max_instructions, plan.checkpoint_interval
+        backend, plan.max_instructions, plan.checkpoint_interval,
+        record_touches=packs_enabled(backend, plan.lockstep_width),
     )
 
 
@@ -258,7 +259,8 @@ class SerialScheduler:
         budget = watchdog_budget(plan.golden.instructions)
         runner = plan_runner(plan, plan.backend)
         pack_runner = make_pack_runner(
-            plan.backend, plan.max_instructions, plan.lockstep_width, runner=runner
+            plan.backend, plan.max_instructions, plan.lockstep_width,
+            runner=runner, timelines=plan.timelines,
         )
         records: List[OutcomeRecord] = []
         for record in execute_jobs(
@@ -286,21 +288,29 @@ def _run_golden(
     max_instructions: int,
     runner: Optional["_CheckpointRunnerBase"],
     watch: Sequence[FaultSite] = (),
-) -> RunResult:
-    """Execute this process's golden reference from reset.
+    record_touches: bool = False,
+) -> Tuple[RunResult, Optional["GoldenTimelines"]]:
+    """Execute this process's golden reference from reset; returns it with
+    the lockstep runtime's golden touch timelines, recorded on the same pass
+    when *record_touches* (else ``None``).
 
     With a checkpoint *runner* the ladder recording *is* the golden run (the
     recorded result is bit-identical to a plain run — the checkpoint
-    contract); otherwise a plain golden executes, watching the storage cells
-    *watch* (``Leon3RtlBackend.run(watch=...)``, ``IssBackend.run(watch=...)``).
+    contract), and the runner records the timelines when it was built to;
+    otherwise a plain golden executes, watching the storage cells *watch*
+    (``Leon3RtlBackend.run(watch=...)``, ``IssBackend.run(watch=...)``).
     """
     if runner is not None:
-        return runner.golden()
+        return runner.golden(), runner.touch_timelines
+    if record_touches:
+        iss = cast(IssBackend, backend)
+        golden = iss.run(max_instructions, watch=watch, record_touches=True)
+        return golden, iss.touch_timelines
     if watch:
         return cast(Union[IssBackend, Leon3RtlBackend], backend).run(
             max_instructions, watch=watch
-        )
-    return backend.run(max_instructions=max_instructions)
+        ), None
+    return backend.run(max_instructions=max_instructions), None
 
 
 def _init_worker(
@@ -326,13 +336,16 @@ def _init_worker(
             TELEMETRY.events = EventLog(trace_path)
     backend: ExecutionBackend = backend_factory()
     backend.prepare(program)
+    record_touches = packs_enabled(backend, lockstep_width)
     runner: Optional["_CheckpointRunnerBase"] = None
     if transient:
         runner = make_checkpoint_runner(
-            backend, max_instructions, checkpoint_interval
+            backend, max_instructions, checkpoint_interval, record_touches
         )
     with TELEMETRY.span("golden"):
-        golden = _run_golden(backend, max_instructions, runner)
+        golden, timelines = _run_golden(
+            backend, max_instructions, runner, record_touches=record_touches
+        )
     if not golden.normal_exit:
         raise RuntimeError(
             f"worker golden run of {program.name!r} did not exit normally "
@@ -347,7 +360,8 @@ def _init_worker(
     # bit-identical to the planner's.
     _WORKER["screen"] = screen
     _WORKER["pack_runner"] = make_pack_runner(
-        backend, max_instructions, lockstep_width, runner=runner
+        backend, max_instructions, lockstep_width, runner=runner,
+        timelines=timelines,
     )
 
 

@@ -201,9 +201,19 @@ class Assembler:
                 continue
             if mnemonic == ".align":
                 alignment = self._parse_number(operand_text, line_number)
+                if alignment < 1:
+                    raise AssemblyError(".align expects a positive alignment",
+                                        line_number)
                 if section == "text":
+                    # Pad with nop words: text word i must sit at
+                    # text_base + 4 * i, or code after the padding would load
+                    # below its labels.
                     while text_addr % alignment:
-                        text_addr += 1
+                        text_stmts.append(
+                            _Statement(line_number, "sethi", ["%hi(0)", "%g0"],
+                                       text_addr)
+                        )
+                        text_addr += 4
                 else:
                     while data_addr % alignment:
                         data_items.append(("byte", 0, 1))

@@ -70,7 +70,8 @@ exactly that overhead while staying **result-transparent**:
   writes the fault's slot (or, for a window register, moves the window).
   Other blocks step one instruction at a time, from the next PC on the block
   path again.  A register watch (:meth:`FastEmulator.watch`) uses the same
-  records to fold register values at block exits.
+  records to fold register values at block exits, and any other block
+  observer (:meth:`FastEmulator.observe`) may step a block the same way.
 
   *Invalidation rule:* translation fills the decode cache, so every page a
   block covers is a code page; a store to a code page drops that page's
@@ -770,14 +771,16 @@ class _Block:
     once, which a register watch cannot see between the writes.
     """
 
-    __slots__ = ("run", "length", "mnemonics", "_histograms", "writes",
+    __slots__ = ("run", "length", "ops", "mnemonics", "_histograms", "writes",
                  "early_writes", "rewrites", "early_shift", "shifts")
 
-    def __init__(self, run: Callable, mnemonics: Tuple[str, ...],
+    def __init__(self, run: Callable, ops: Tuple[_CachedOp, ...],
                  slot_writes: List[Tuple[int, int]], shift_at: List[int]):
         self.run = run
-        self.length = len(mnemonics)
-        self.mnemonics = mnemonics
+        self.length = len(ops)
+        #: The ops the block runs, one per instruction from its entry PC.
+        self.ops = ops
+        self.mnemonics = tuple(op.mnemonic for op in ops)
         self._histograms: Dict[int, List[Tuple[str, int]]] = {}
         last = self.length - 1
         writes: Set[int] = set()
@@ -1109,6 +1112,15 @@ def _fold_counts(
             timing.account_bulk(defn, count)
 
 
+# A *block observer* watches a fault-free run from the block path.  ``run``
+# calls ``start()`` once, ``plan(block)`` right before entering a block
+# (``None`` steps the block one instruction at a time instead), then
+# ``after_block(plan, ran)`` with the number of its instructions that ran;
+# on the per-instruction loop it calls ``before_op(op)`` and ``after_op(op)``
+# around each executed op.  :class:`_RegisterWatch` is one; the lockstep
+# runtime's golden touch recorder (:mod:`repro.engine.lockstep`) is another.
+
+
 class _RegisterWatch:
     """Folds every value the watched registers hold at an instruction
     boundary into their read summaries (objects with ``ored``/``anded``
@@ -1145,8 +1157,11 @@ class _RegisterWatch:
                 summary.ored |= value
                 summary.anded &= value
 
-    def record_all(self) -> None:
+    def start(self) -> None:
         self.record(self._reads)
+
+    def before_op(self, op: _CachedOp) -> None:
+        pass
 
     def after_op(self, op: _CachedOp) -> None:
         targets = self._targets.get(op)
@@ -1184,7 +1199,7 @@ class _RegisterWatch:
             self._plans[block] = plan
         return plan
 
-    def after_block(self, plan: tuple) -> None:
+    def after_block(self, plan: tuple, ran: int) -> None:
         registers = self._registers
         for slot, summary in plan[0]:
             value = (registers._globals[slot] if slot < 8
@@ -1193,6 +1208,39 @@ class _RegisterWatch:
             summary.anded &= value
         if plan[1]:
             self.record(self._windowed)
+
+
+class _Observers:
+    """Several block observers on one run: a block runs when every observer
+    plans it, and each sees its own plan afterwards."""
+
+    def __init__(self, observers: Tuple[Any, ...]) -> None:
+        self._observers = observers
+
+    def start(self) -> None:
+        for observer in self._observers:
+            observer.start()
+
+    def plan(self, block: _Block) -> Optional[tuple]:
+        plans = []
+        for observer in self._observers:
+            plan = observer.plan(block)
+            if plan is None:
+                return None
+            plans.append(plan)
+        return tuple(plans)
+
+    def after_block(self, plan: tuple, ran: int) -> None:
+        for observer, own in zip(self._observers, plan):
+            observer.after_block(own, ran)
+
+    def before_op(self, op: _CachedOp) -> None:
+        for observer in self._observers:
+            observer.before_op(op)
+
+    def after_op(self, op: _CachedOp) -> None:
+        for observer in self._observers:
+            observer.after_op(op)
 
 
 class FastEmulator(Emulator):
@@ -1224,6 +1272,8 @@ class FastEmulator(Emulator):
         self._fault_executed = 0
         self._flip_done = False
         self._watch: Optional[_RegisterWatch] = None
+        #: A further block observer (see :meth:`observe`).
+        self._observer: Optional[Any] = None
         self._decode_cache: Dict[int, _CachedOp] = {}
         self._code_pages: Dict[int, Set[int]] = {}
         #: Per-CWP map of block entry PC -> compiled block, or ``None`` where
@@ -1276,6 +1326,14 @@ class FastEmulator(Emulator):
         if self._fault is not None:
             raise RuntimeError("cannot watch registers while a fault is armed")
         self._watch = _RegisterWatch(reads, self.registers) if reads else None
+
+    def observe(self, observer: Optional[Any]) -> None:
+        """Attach a block observer (see the note above :class:`_RegisterWatch`)
+        to the following runs, beside any register watch; ``None`` detaches
+        it.  Refused while a fault is armed, like :meth:`watch`."""
+        if observer is not None and self._fault is not None:
+            raise RuntimeError("cannot observe a run while a fault is armed")
+        self._observer = observer
 
     def _fill(self, pc: int) -> _CachedOp:
         word = self.memory.read_word(pc)
@@ -1332,7 +1390,7 @@ class FastEmulator(Emulator):
             if block is None:
                 compiler = _BlockCompiler(registers, ops, pc)
                 block = _BLOCK_MEMO[key] = _Block(
-                    compiler.build(), tuple(op.mnemonic for op in ops),
+                    compiler.build(), tuple(ops),
                     compiler.slot_writes, compiler.shift_at,
                 )
         self._blocks[cwp][pc] = block
@@ -1487,9 +1545,12 @@ class FastEmulator(Emulator):
                 if stuck_windowed else fault.register
                 for cwp in range(registers.nwindows)
             ]
-        watch = self._watch
+        watch: Any = self._watch
+        if self._observer is not None:
+            watch = (self._observer if watch is None
+                     else _Observers((watch, self._observer)))
         if watch is not None and max_instructions > 0:
-            watch.record_all()
+            watch.start()
         # One test on the fault-free block path for both of the above.
         armed = stuck_slots is not None or watch is not None
         blocks = self._blocks
@@ -1522,8 +1583,8 @@ class FastEmulator(Emulator):
                         ))
                         or (watch is not None and (plan := watch.plan(block)) is None)
                     ):
-                        # The stuck-at would act inside, or the watch could
-                        # not see a rewritten slot: step this one.
+                        # The stuck-at would act inside, or an observer
+                        # cannot follow the block: step this one.
                         pass
                     else:
                         if armed and stuck_slots is not None:
@@ -1539,7 +1600,7 @@ class FastEmulator(Emulator):
                             error = exc
                         executed += ran
                         if armed and watch is not None:
-                            watch.after_block(plan)
+                            watch.after_block(plan, ran)
                         key = (block, ran)
                         seen = exits_get(key)
                         if seen is None:
@@ -1582,6 +1643,8 @@ class FastEmulator(Emulator):
                     )
                     self._flip_done = True
                 self._fault_executed += 1
+            if armed and watch is not None:
+                watch.before_op(op)
             try:
                 outcome = op.handler(self, op, pc, transactions)
             except _TRAP_ERRORS as exc:

@@ -263,3 +263,53 @@ table:
     def test_text_bytes_big_endian(self):
         program = assemble(".text\n        add %g1, %g2, %g3\n")
         assert program.text_bytes == program.text[0].to_bytes(4, "big")
+
+
+ALIGNED_CALL_SOURCE = """
+        .text
+start:
+        mov     5, %o0
+        call    routine
+        nop
+        add     %o0, 1, %o0
+        ta      0
+        .align  32
+routine:
+        add     %o0, 2, %o0
+        retl
+        nop
+"""
+
+
+class TestTextAlignment:
+    def test_align_pads_text_with_nops(self):
+        """Text word i sits at text_base + 4 * i, so every label maps to the
+        word that follows it and the padding executes as nops."""
+        program = assemble(ALIGNED_CALL_SOURCE)
+        routine = program.symbol("routine")
+        assert routine % 32 == 0
+        assert len(program.text) == (routine - DEFAULT_TEXT_BASE) // 4 + 3
+        for label, mnemonic in (("start", "or"), ("routine", "add")):
+            index = (program.symbol(label) - DEFAULT_TEXT_BASE) // 4
+            assert decode(program.text[index]).mnemonic == mnemonic
+        padding = program.text[(program.symbol("routine") - DEFAULT_TEXT_BASE)
+                               // 4 - 1]
+        assert decode(padding).mnemonic == "sethi"
+        assert decode(padding).rd == 0
+
+    def test_align_inside_text_runs_on_every_engine(self):
+        """A call into an .align-ed routine returns and exits normally on
+        the reference ISS, the fast ISS and the reference RTL core."""
+        from repro.engine.backend import IssBackend, Leon3RtlBackend
+
+        program = assemble(ALIGNED_CALL_SOURCE, name="aligned_call")
+        for backend in (IssBackend(fast=False), IssBackend(),
+                        Leon3RtlBackend(fast=False)):
+            backend.prepare(program)
+            result = backend.run(max_instructions=1_000)
+            assert result.normal_exit, type(backend).__name__
+            assert result.exit_code == 8
+
+    def test_align_rejects_zero(self):
+        with pytest.raises(AssemblyError):
+            assemble(".text\n        .align 0\n        nop\n")

@@ -133,3 +133,38 @@ class TestGate:
         assert run_gated_benchmark(
             path, _record(5.0), ("width",), check=True, no_write=True
         ) == 0
+
+
+class TestPerfHistoryManifest:
+    """``gen_perf_history`` keeps the page's run-manifest section unless a
+    new ``--manifest`` replaces it."""
+
+    @staticmethod
+    def _manifest(path, wall_seconds):
+        path.write_text(json.dumps({
+            "created_at": "2026-01-01T00:00:00+00:00",
+            "wall_seconds": wall_seconds,
+            "metrics": {"counters": {"store.cache_hits": 1,
+                                     "store.cache_misses": 3}},
+        }))
+        return path
+
+    def test_section_survives_a_render_without_manifest(self, tmp_path):
+        import gen_perf_history
+
+        first = gen_perf_history.render(
+            self._manifest(tmp_path / "first.json", 1.5)
+        )
+        assert "## Latest run manifest (`first.json`)" in first
+        again = gen_perf_history.render(None, first)
+        assert again == first
+        replaced = gen_perf_history.render(
+            self._manifest(tmp_path / "second.json", 2.5), first
+        )
+        assert "`second.json`" in replaced and "`first.json`" not in replaced
+        assert "wall clock 2.50s" in replaced
+
+    def test_no_section_without_one_to_keep(self):
+        import gen_perf_history
+
+        assert "Latest run manifest" not in gen_perf_history.render(None, "")

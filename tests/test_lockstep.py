@@ -20,11 +20,26 @@ from hypothesis import strategies as st
 
 from repro.engine.backend import IssBackend, Leon3RtlBackend, watchdog_budget
 from repro.engine.campaign import CampaignConfig, CampaignEngine
-from repro.engine.checkpoint import assert_run_results_identical
-from repro.engine.lockstep import PROPAGATION_BUDGET, make_pack_runner
+from repro.engine.checkpoint import (
+    assert_run_results_identical,
+    make_checkpoint_runner,
+)
+from repro.engine.lockstep import (
+    _MEM_KEY_BASE,
+    PROPAGATION_BUDGET,
+    LockstepPackRunner,
+    TouchRecorder,
+    _EffectsCache,
+    make_pack_runner,
+)
 from repro.engine.schedulers import group_packs
+from repro.isa.assembler import assemble
+from repro.isa.decoder import DecodeError
+from repro.isa.registers import RegisterWindowError
+from repro.iss.emulator import SimulationError
 from repro.iss.fastpath import FastEmulator
-from repro.iss.memory import Memory
+from repro.iss.memory import Memory, MemoryError_
+from repro.obs.telemetry import TELEMETRY
 from repro.rtl.faults import FaultModel, PermanentFault, TransientFault
 from repro.rtl.sites import FaultSite
 from repro.workloads import all_workloads, build_program
@@ -341,6 +356,36 @@ class TestResolutionPaths:
                 runner.run_transient(job.fault, budget), outcome.result
             )
 
+    def test_early_stopped_leader_records_no_golden_result(self):
+        """A ladder-less pack whose every replica demotes stops its leader
+        mid-run; the golden result is not taken from there, so the next
+        pack's golden-resolved replicas still get the real golden."""
+        program = build_program("rspeed")
+        backend = _prepared_backend(program)
+        golden = backend.run(max_instructions=MAX_INSTRUCTIONS)
+        budget = watchdog_budget(golden.instructions)
+        pack_runner = make_pack_runner(backend, MAX_INSTRUCTIONS, 2)
+        demoting = PermanentFault(
+            FaultSite("regfile", 8, "arch.regfile", index=25),
+            FaultModel.STUCK_AT_1,
+        )
+        first = pack_runner.run_pack(
+            [backend._to_architectural(demoting)], budget
+        )
+        assert first[0].resolution == "demoted"
+        assert pack_runner._executed < golden.instructions
+        absorbed = PermanentFault(
+            FaultSite("regfile", 20, "arch.regfile", index=9),
+            FaultModel.OPEN_LINE,
+        )
+        (then,) = pack_runner.run_pack(
+            [backend._to_architectural(absorbed)], budget
+        )
+        assert_run_results_identical(
+            backend.run(max_instructions=budget, faults=[absorbed]),
+            then.result,
+        )
+
     def test_propagation_budget_demotes_exactly(self):
         """A replica whose delta feeds nearly every instruction demotes once
         it exhausts :data:`PROPAGATION_BUDGET` — and demotion is exact: the
@@ -439,7 +484,15 @@ class TestCampaignTransparency:
             CampaignConfig(**base, lockstep_width=3),
             backend_factory=IssBackend,
         ).run()
+        process = CampaignEngine(
+            program,
+            CampaignConfig(
+                **base, lockstep_width=3, n_workers=2, scheduler="process"
+            ),
+            backend_factory=IssBackend,
+        ).run()
         assert self._outcomes(scalar) == self._outcomes(packed)
+        assert self._outcomes(scalar) == self._outcomes(process)
 
     def test_lockstep_width_validation(self):
         with pytest.raises(ValueError, match="lockstep_width"):
@@ -598,3 +651,361 @@ class TestProperties:
         assert_run_results_identical(
             env.runner.run_transient(fault, env.budget), outcomes[0].result
         )
+
+
+# ---------------------------------------------------------------------------
+# Golden touch timelines: the block recorder against the stepped oracle.
+# ---------------------------------------------------------------------------
+
+
+def stepped_timelines(program, budget):
+    """The golden touch timeline and write timeline, recorded one executed
+    instruction at a time — the definition the block recorder must match.
+
+    Steps the golden stream with the annul-skip / decode / execute ordering
+    of the pack sweep's ``_step_pack`` and marks, per executed instruction,
+    every touched slot, every accessed memory word (from the address
+    registers before the op executes) and, in the write timeline, every
+    written register slot and window move."""
+    emulator = FastEmulator(memory=Memory())
+    emulator.load_program(program)
+    effects = _EffectsCache(emulator.registers)
+    timeline = {}
+    writes = {}
+    scratch = []
+    executed = 0
+    while executed < budget:
+        if emulator._annul_next:
+            emulator._annul_next = False
+            emulator.pc = emulator.npc
+            emulator.npc += 4
+            continue
+        pc = emulator.pc
+        op = emulator._decode_cache.get(pc)
+        if op is None:
+            try:
+                op = emulator._fill(pc)
+            except (MemoryError_, DecodeError):
+                break
+        _, _, _, memory, touches, written = effects.get(
+            op, emulator.registers.cwp
+        )
+        for key in touches:
+            timeline.setdefault(key, []).append(executed)
+        for key in written:
+            writes.setdefault(key, []).append(executed)
+        if memory is not None:
+            read = emulator.registers.read
+            address = (
+                read(op.rs1) + (op.imm_u32 if op.use_imm else read(op.rs2))
+            ) & 0xFFFFFFFF
+            if memory[3]:
+                word_keys = (_MEM_KEY_BASE + address,
+                             _MEM_KEY_BASE + address + 4)
+            else:
+                word_keys = (_MEM_KEY_BASE + (address & ~3),)
+            for key in word_keys:
+                timeline.setdefault(key, []).append(executed)
+        executed += 1
+        try:
+            outcome = op.handler(emulator, op, pc, scratch)
+        except (RegisterWindowError, MemoryError_, ZeroDivisionError,
+                SimulationError):
+            break
+        if outcome is None:
+            emulator.pc = emulator.npc
+            emulator.npc += 4
+        elif type(outcome) is tuple:
+            emulator.pc = emulator.npc
+            emulator.npc = outcome[0]
+            emulator._annul_next = outcome[1]
+        else:
+            break  # the exit trap
+    return timeline, writes
+
+
+def ladder_timelines(program, budget):
+    """Timelines recorded by the checkpoint ladder's golden pass."""
+    runner = make_checkpoint_runner(
+        _prepared_backend(program), budget, record_touches=True
+    )
+    runner.golden()
+    return runner.touch_timelines
+
+
+def own_pass_timelines(program, budget):
+    """Timelines a pack runner built without any records for itself."""
+    pack_runner = LockstepPackRunner(_prepared_backend(program), budget, 2)
+    pack_runner._ensure_timeline()
+    return pack_runner._timeline, pack_runner._write_timeline
+
+
+def watched_run_timelines(program, budget):
+    """Timelines recorded beside the inert screen's register watch, as a
+    permanent campaign's golden records them."""
+    backend = _prepared_backend(program)
+    backend.run(budget, watch=backend.sites.sample(6, seed=1),
+                record_touches=True)
+    return backend.touch_timelines
+
+
+RECORDERS = {
+    "ladder": ladder_timelines,
+    "own_pass": own_pass_timelines,
+    "watched": watched_run_timelines,
+}
+
+
+def assert_timelines_match(program, budget=MAX_INSTRUCTIONS, paths=RECORDERS):
+    expected_touches, expected_writes = stepped_timelines(program, budget)
+    assert expected_touches and expected_writes
+    for path in paths:
+        touches, writes = RECORDERS[path](program, budget)
+        assert touches.expanded() == expected_touches, path
+        assert writes.expanded() == expected_writes, path
+        # Lazily expanded keys read the same lists, and unmarked keys none.
+        for key, indices in expected_touches.items():
+            assert touches[key] == indices, (path, key)
+        assert touches[_MEM_KEY_BASE - 1] == []
+
+
+TIMELINE_SIZES = {
+    "x2": {"iterations": 2},
+    "x8": {"iterations": 8},
+    "full": {"full_size": True},
+}
+
+
+@pytest.mark.parametrize("size", sorted(TIMELINE_SIZES))
+@pytest.mark.parametrize("workload", REGISTRY)
+def test_block_timelines_equal_the_stepped_oracle(workload, size):
+    """The block recorder's timelines equal the stepped oracle's on every
+    registry workload, from the ladder's golden pass, a pack runner's own
+    pass and a watched permanent golden."""
+    program = build_program(workload, **TIMELINE_SIZES[size])
+    assert_timelines_match(program)
+
+
+SELF_MODIFYING_SOURCE = """
+        .text
+        set     patch, %l1
+        set     out, %l2
+        set     0x9210200c, %o4          ! encoding of: or %g0, 12, %o1
+        mov     0, %o1
+        mov     0, %o5
+loop:
+        st      %o4, [%l1]               ! rewrites the next instruction
+patch:
+        mov     1, %o0
+        add     %o0, %o1, %o2
+        st      %o2, [%l2]
+        cmp     %o5, 0
+        bne     done
+        nop
+        inc     %o5
+        ba      loop
+        nop
+done:
+        mov     %o2, %o0
+        ta      0
+        .data
+out:
+        .space  8
+"""
+
+WINDOW_OVERFLOW_SOURCE = """
+        .text
+        set     buf, %g2
+        mov     0, %o0
+        mov     6, %o1
+descend:
+        save    %sp, -96, %sp
+        st      %i0, [%g2 + 4]
+        add     %i0, 1, %o0
+        subcc   %i1, 1, %o1
+        bne     descend
+        nop
+        mov     6, %g3
+ascend:
+        restore %o0, 2, %o0
+        st      %o0, [%g2]
+        subcc   %g3, 1, %g3
+        bne     ascend
+        nop
+        save    %sp, -96, %sp
+        st      %g3, [%g2 + 8]
+        save    %sp, -96, %sp
+        save    %sp, -96, %sp
+        save    %sp, -96, %sp
+        save    %sp, -96, %sp
+        save    %sp, -96, %sp
+        save    %sp, -96, %sp
+        save    %sp, -96, %sp
+        mov     1, %o0                   ! never runs: the save above traps
+        ta      0
+        .data
+buf:
+        .space  16
+"""
+
+DOUBLE_WORD_SOURCE = """
+        .text
+        set     buf, %o0
+        mov     4, %o5
+loop:
+        add     %o0, 8, %o1
+        ldd     [%o1], %o2
+        add     %o2, %o3, %o4
+        add     %o1, 8, %o1
+        std     %o2, [%o1]
+        ld      [%o0], %o0
+        add     %o0, 0, %o0
+        set     buf, %o0
+        add     %o0, 4, %g4
+        ld      [%g4], %g5
+        st      %g5, [%g4 + 8]
+        subcc   %o5, 1, %o5
+        bne     loop
+        nop
+        mov     0, %o0
+        ta      0
+        .data
+        .align  8
+buf:
+        .word   1, 2, 3, 4, 5, 6, 7, 8
+"""
+
+ALIGNED_ROUTINE_SOURCE = """
+        .text
+        set     buf, %l0
+        mov     3, %l1
+loop:
+        call    routine
+        mov     %l1, %o0
+        subcc   %l1, 1, %l1
+        bne     loop
+        nop
+        ta      0
+        .align  32
+routine:
+        st      %o0, [%l0]
+        ld      [%l0], %o1
+        retl
+        add     %o1, 1, %o0
+        .data
+buf:
+        .space  8
+"""
+
+
+class TestTimelineCorners:
+    """Programs that stress the block recorder's exactness rules."""
+
+    @pytest.mark.parametrize("source", [
+        SELF_MODIFYING_SOURCE, WINDOW_OVERFLOW_SOURCE, DOUBLE_WORD_SOURCE,
+        ALIGNED_ROUTINE_SOURCE,
+    ], ids=["self_modifying", "window_overflow", "ldd_std", "aligned"])
+    def test_corner_programs(self, source):
+        assert_timelines_match(assemble(source, name="corner"), budget=5_000)
+
+    @pytest.mark.parametrize("source", [
+        SELF_MODIFYING_SOURCE, WINDOW_OVERFLOW_SOURCE,
+    ], ids=["code_page_store", "window_trap"])
+    def test_corner_programs_leave_a_block_early(self, source):
+        """The self-modifying store and the window-overflow trap each end a
+        block before its last instruction, so the corner tests above cover
+        a block's early exit."""
+        emulator = FastEmulator(memory=Memory())
+        emulator.load_program(assemble(source))
+        recorder = TouchRecorder(emulator.registers)
+        emulator.observe(recorder)
+        emulator.run(5_000)
+        assert any(
+            ran < block.length
+            for block, plan in recorder._block_plans.items()
+            if plan is not None for ran in plan.runs
+        )
+
+    def test_corner_program_results(self):
+        """The self-modifying program runs its patched instruction; the
+        window program's golden traps."""
+        backend = _prepared_backend(assemble(SELF_MODIFYING_SOURCE))
+        assert backend.run(5_000).exit_code == 12
+        backend = _prepared_backend(assemble(WINDOW_OVERFLOW_SOURCE))
+        assert backend.run(5_000).trap_kind == "window"
+
+    @pytest.mark.parametrize("budget", [1, 7, 37, 501, 2_049])
+    def test_budget_ending_mid_block(self, budget):
+        assert_timelines_match(build_program("rspeed"), budget=budget)
+
+    def test_address_written_in_block_steps_that_block(self):
+        """A block whose load address register is written both before and
+        after the load gets no plan (so the run steps it), one whose address
+        registers are written only before reads them at block exit; the
+        timelines still match."""
+        program = assemble(DOUBLE_WORD_SOURCE)
+        emulator = FastEmulator(memory=Memory())
+        emulator.load_program(program)
+        recorder = TouchRecorder(emulator.registers)
+        emulator.observe(recorder)
+        emulator.run(5_000)
+        plans = list(recorder._block_plans.values())
+        assert None in plans
+        assert any(plan is not None and plan.at_exit for plan in plans)
+
+
+class TestTimelineSources:
+    """Every pack runner counts where its timeline came from."""
+
+    @staticmethod
+    def _sources(config, workload="intbench"):
+        try:
+            CampaignEngine(
+                build_program(workload), CampaignConfig(**config),
+                backend_factory=IssBackend,
+            ).run()
+            counters = TELEMETRY.snapshot()["counters"]
+        finally:
+            TELEMETRY.reset()
+            TELEMETRY.disable()
+        return {
+            series: value for series, value in counters.items()
+            if series.startswith("lockstep.timeline")
+        }
+
+    def test_transient_and_permanent_campaigns_ride_the_golden(self):
+        base = {"unit_scope": "arch.regfile", "sample_size": 3, "seed": 3}
+        for config in ({**base, "transient_windows": 2, "lockstep_width": 4},
+                       {**base, "lockstep_width": 4}):
+            assert self._sources(config) == {
+                "lockstep.timeline{source=golden}": 1
+            }
+
+    def test_pool_workers_record_with_their_golden(self):
+        config = {"unit_scope": "arch.regfile", "sample_size": 3, "seed": 3,
+                  "transient_windows": 2, "lockstep_width": 4,
+                  "n_workers": 2, "scheduler": "process"}
+        sources = self._sources(config)
+        assert set(sources) == {"lockstep.timeline{source=golden}"}
+
+    def test_scalar_campaign_records_nothing(self):
+        config = {"unit_scope": "arch.regfile", "sample_size": 3, "seed": 3,
+                  "transient_windows": 2}
+        assert self._sources(config) == {}
+
+    def test_directly_built_runner_records_its_own(self):
+        TELEMETRY.enable()
+        TELEMETRY.reset()
+        try:
+            program = build_program("intbench")
+            backend = _prepared_backend(program)
+            runner = backend.checkpoint_runner(MAX_INSTRUCTIONS)
+            pack_runner = runner.pack_runner(2)
+            pack_runner._ensure_timeline()
+            pack_runner._ensure_timeline()
+            counters = TELEMETRY.snapshot()["counters"]
+        finally:
+            TELEMETRY.reset()
+            TELEMETRY.disable()
+        assert counters["lockstep.timeline{source=own_pass}"] == 1
+        assert "lockstep.timeline{source=golden}" not in counters
