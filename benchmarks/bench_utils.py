@@ -18,7 +18,10 @@ first), then hands the stamped measurement record to
 :func:`run_gated_benchmark`, which implements the tail every script used to
 duplicate: the ``--check`` CI gate (configuration match, regression
 tolerance, optional hard floor) and the ``--no-write`` / append-to-baseline
-decision.
+decision.  A script whose fast leg does less *work* than its reference leg
+(forks, early exits, packs) also counts the instructions each leg simulates
+(:class:`SimulatedInstructions`) and gates the work ratio instead of the
+timed speedup against the committed record.
 
 Baselines are **append-only histories**: a ``BENCH_*.json`` file holds
 ``{"benchmark": ..., "history": [record, ...]}`` and every recording run
@@ -37,7 +40,7 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Fault sites sampled per campaign in the benchmark harness.
 SAMPLE_SIZE = int(os.environ.get("REPRO_BENCH_SAMPLE", "40"))
@@ -114,6 +117,54 @@ def aggregate_speedup_of(record: Dict[str, object]) -> Optional[float]:
     return None if speedup is None else float(speedup)
 
 
+class SimulatedInstructions:
+    """Counts the instructions the fast engines simulate while active.
+
+    Wraps ``FastEmulator.run`` (each call's executed count) and
+    ``Leon3FastCore.run_segment`` (the run state's advance), which every
+    from-reset run, ladder recording, checkpoint fork, lockstep leader pass
+    and demoted lockstep replica goes through.  Replicas that ride a lockstep
+    pack simulate nothing of their own and count nothing.  The count is a
+    property of the plan, not of the host: the same legs simulate the same
+    instructions at any host speed or load, and a faster reference leg does
+    not change the reference leg's count.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._originals: List[Tuple[type, str, Callable[..., Any]]] = []
+
+    def __enter__(self) -> "SimulatedInstructions":
+        from repro.iss.fastpath import FastEmulator
+        from repro.leon3.fastcore import Leon3FastCore
+
+        run = FastEmulator.run
+        segment = Leon3FastCore.run_segment
+
+        def counted_run(emulator: Any, *args: Any, **kwargs: Any) -> Any:
+            result = run(emulator, *args, **kwargs)
+            self.count += result.instructions
+            return result
+
+        def counted_segment(core: Any, state: Any, budget: int) -> None:
+            before = state.executed
+            segment(core, state, budget)
+            self.count += state.executed - before
+
+        self._originals = [
+            (FastEmulator, "run", run),
+            (Leon3FastCore, "run_segment", segment),
+        ]
+        FastEmulator.run = counted_run
+        Leon3FastCore.run_segment = counted_segment
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        for owner, name, original in self._originals:
+            setattr(owner, name, original)
+        self._originals = []
+
+
 def run_gated_benchmark(
     baseline_path: Path,
     record: Dict[str, object],
@@ -124,6 +175,7 @@ def run_gated_benchmark(
     regression_message: str = "throughput regressed against the committed baseline",
     speedup_of: Callable[[Dict[str, object]], Optional[float]] = aggregate_speedup_of,
     tolerance: Optional[float] = None,
+    work_of: Optional[Callable[[Dict[str, object]], Optional[float]]] = None,
 ) -> int:
     """The shared tail of every throughput benchmark: gate, then record.
 
@@ -135,10 +187,17 @@ def run_gated_benchmark(
     measurement configurations), and the floor is the committed speedup minus
     *tolerance* (default :data:`REGRESSION_TOLERANCE`), never below
     *speedup_floor* when one is given.  A tighter explicit *tolerance* is how
-    CI gates near-zero overhead claims — e.g. ``--tolerance 0.02`` on the
-    lockstep bench bounds the disabled-telemetry cost of the instrumented
-    hot loops at 2%.  Baselines whose committed speedup is ``null`` (e.g.
+    CI tightens a gate (``--tolerance 0.02`` on the transient and lockstep
+    work ratios).  Baselines whose committed speedup is ``null`` (e.g.
     the campaign bench on a single-CPU recorder) skip the ratio comparison.
+
+    With *work_of* (the reference-to-fast ratio of simulated instructions,
+    :class:`SimulatedInstructions`) the tolerance compares that work ratio
+    with the committed one, and the timed speedup must still clear
+    *speedup_floor*.  A timed ratio of two legs moves with host load and with
+    any change to the reference leg; the work ratio moves only when the fast
+    leg simulates more per injection.  A committed record without a work
+    ratio skips the work comparison.
 
     Returns a process exit code; unless ``no_write`` is set, the measured
     record is appended to the baseline history.
@@ -162,24 +221,34 @@ def run_gated_benchmark(
                       f"{committed.get(field)!r}; re-run with the baseline's "
                       f"configuration (or re-record the baseline)")
                 return 1
-        measured = speedup_of(record)
-        reference = speedup_of(committed)
-        if measured is None or reference is None:
-            print("  check: no comparable speedup in the committed baseline "
-                  "(configuration verified; ratio comparison skipped)")
+        if work_of is not None:
+            status = _gate_work(
+                work_of(record), work_of(committed), tolerance, regression_message
+            )
+            if status == 0 and speedup_floor is not None:
+                status = _gate_floor(speedup_of(record), speedup_floor,
+                                     regression_message)
+            if status:
+                return status
         else:
-            floor = reference * (1.0 - tolerance)
-            if speedup_floor is not None:
-                floor = max(floor, speedup_floor)
-            print(f"  check: measured speedup {measured:.2f}x vs baseline "
-                  f"{reference:.2f}x (floor {floor:.2f}x)")
-            if measured < floor:
-                print(f"ERROR: {regression_message} "
-                      f"({tolerance:.0%} under the committed baseline"
-                      + (f", never below {speedup_floor}x)" if speedup_floor
-                         else ")"))
-                return 1
-            print("  check: ok")
+            measured = speedup_of(record)
+            reference = speedup_of(committed)
+            if measured is None or reference is None:
+                print("  check: no comparable speedup in the committed baseline "
+                      "(configuration verified; ratio comparison skipped)")
+            else:
+                floor = reference * (1.0 - tolerance)
+                if speedup_floor is not None:
+                    floor = max(floor, speedup_floor)
+                print(f"  check: measured speedup {measured:.2f}x vs baseline "
+                      f"{reference:.2f}x (floor {floor:.2f}x)")
+                if measured < floor:
+                    print(f"ERROR: {regression_message} "
+                          f"({tolerance:.0%} under the committed baseline"
+                          + (f", never below {speedup_floor}x)" if speedup_floor
+                             else ")"))
+                    return 1
+                print("  check: ok")
     if no_write:
         print(json.dumps(record, indent=2))
     else:
@@ -187,3 +256,39 @@ def run_gated_benchmark(
         print(f"  baseline appended  : {baseline_path} "
               f"({len(document['history'])} record(s))")
     return status
+
+
+def _gate_work(
+    measured: Optional[float],
+    reference: Optional[float],
+    tolerance: float,
+    message: str,
+) -> int:
+    """The work-ratio half of the gate: *measured* within *tolerance* of the
+    committed *reference*."""
+    if measured is None or reference is None:
+        print("  check: no work ratio in the committed baseline "
+              "(work comparison skipped)")
+        return 0
+    floor = reference * (1.0 - tolerance)
+    print(f"  check: measured work ratio {measured:.3f}x vs baseline "
+          f"{reference:.3f}x (floor {floor:.3f}x)")
+    if measured < floor:
+        print(f"ERROR: {message} ({tolerance:.0%} more simulated work per "
+              f"injection than the committed baseline)")
+        return 1
+    print("  check: work ok")
+    return 0
+
+
+def _gate_floor(measured: Optional[float], speedup_floor: float, message: str) -> int:
+    """The timed half of a work-gated check: the speedup clears the floor."""
+    if measured is None:
+        print("ERROR: no measured speedup to hold against the floor")
+        return 1
+    print(f"  check: measured speedup {measured:.2f}x (floor {speedup_floor}x)")
+    if measured < speedup_floor:
+        print(f"ERROR: {message} (never below {speedup_floor}x)")
+        return 1
+    print("  check: speedup ok")
+    return 0

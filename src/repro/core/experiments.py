@@ -20,7 +20,10 @@ that complete in minutes, while larger values approach the exhaustive
 campaigns of the paper.  Every campaign goes through the unified
 :mod:`repro.engine` layer, so ``n_workers`` transparently fans the injection
 jobs out to a multiprocessing pool with results bit-identical to a serial
-run (same seed, same jobs — only faster).
+run (same seed, same jobs — only faster).  A driver call opens one
+scheduler and runs all of its campaigns on it, so they share one pool,
+forked on the first job that executes (a call the store serves in full
+forks none) and ended when the call returns.
 
 Every driver additionally accepts ``store_path``: the path of a
 :class:`repro.store.CampaignStore` database through which the driver is
@@ -44,8 +47,10 @@ from repro.engine import (
     CampaignEngine,
     IssBackend,
     Leon3RtlBackend,
+    make_scheduler,
     reference_run_seconds,
 )
+from repro.engine.schedulers import Scheduler
 from repro.faultinjection.results import CampaignResult
 from repro.leon3.units import CMEM_SCOPE, IU_SCOPE
 from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel
@@ -138,12 +143,14 @@ def _run_campaign(
     dataset: int = 0,
     n_workers: int = 1,
     store_path: Optional[str] = None,
+    scheduler: Optional[Scheduler] = None,
 ) -> Dict[FaultModel, CampaignResult]:
     """Run one engine campaign: RTL backend, shared golden run and site sample.
 
     *store_path* makes the campaign durable and memoized through the
     :mod:`repro.store` subsystem (content-addressed key: program bytes, site
-    sample, models, seed, backend, budget).
+    sample, models, seed, backend, budget).  *scheduler* is the calling
+    driver's, shared by all of its campaigns.
     """
     program = build_program(workload, iterations=iterations, dataset=dataset)
     config = CampaignConfig(
@@ -154,7 +161,9 @@ def _run_campaign(
         n_workers=n_workers,
         store_path=store_path,
     )
-    return CampaignEngine(program, config, backend_factory=Leon3RtlBackend).run()
+    return CampaignEngine(
+        program, config, backend_factory=Leon3RtlBackend, scheduler=scheduler
+    ).run()
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +206,30 @@ def figure3_input_data(
     initialisation excerpts; within each subset the three members execute
     identical code on different input data.
     """
+    with make_scheduler(n_workers=n_workers) as scheduler:
+        return _input_data(sample_size, seed, n_workers, store_path, scheduler)
+
+
+def _input_data(
+    sample_size: int,
+    seed: int,
+    n_workers: int,
+    store_path: Optional[str],
+    scheduler: Scheduler,
+) -> InputDataExperiment:
+    """The Figure 3 campaigns, on the calling driver's *scheduler*."""
     experiment = InputDataExperiment(injections_per_member=sample_size)
-    for member in SUBSET_A_MEMBERS:
-        results = _run_campaign(
-            f"excerpt_{member}", IU_SCOPE, [FaultModel.STUCK_AT_1], sample_size, seed,
-            n_workers=n_workers, store_path=store_path,
-        )
-        experiment.subset_a[member] = results[FaultModel.STUCK_AT_1].failure_probability
-    for member in SUBSET_B_MEMBERS:
-        results = _run_campaign(
-            f"excerpt_{member}", IU_SCOPE, [FaultModel.STUCK_AT_1], sample_size, seed,
-            n_workers=n_workers, store_path=store_path,
-        )
-        experiment.subset_b[member] = results[FaultModel.STUCK_AT_1].failure_probability
+    for members, pf in (
+        (SUBSET_A_MEMBERS, experiment.subset_a),
+        (SUBSET_B_MEMBERS, experiment.subset_b),
+    ):
+        for member in members:
+            results = _run_campaign(
+                f"excerpt_{member}", IU_SCOPE, [FaultModel.STUCK_AT_1],
+                sample_size, seed, n_workers=n_workers, store_path=store_path,
+                scheduler=scheduler,
+            )
+            pf[member] = results[FaultModel.STUCK_AT_1].failure_probability
     return experiment
 
 
@@ -238,21 +258,23 @@ def figure4_iterations(
 ) -> List[IterationPoint]:
     """Iteration-count experiment (Figure 4, rspeed with 2/4/10 iterations)."""
     points: List[IterationPoint] = []
-    for count in iteration_counts:
-        results = _run_campaign(
-            workload, IU_SCOPE, [FaultModel.STUCK_AT_1], sample_size, seed,
-            iterations=count, n_workers=n_workers, store_path=store_path,
-        )
-        result = results[FaultModel.STUCK_AT_1]
-        points.append(
-            IterationPoint(
-                iterations=count,
-                failure_probability=result.failure_probability,
-                max_latency_us=result.max_detection_latency_us,
-                mean_latency_us=result.mean_detection_latency_us,
-                golden_instructions=result.golden_instructions,
+    with make_scheduler(n_workers=n_workers) as scheduler:
+        for count in iteration_counts:
+            results = _run_campaign(
+                workload, IU_SCOPE, [FaultModel.STUCK_AT_1], sample_size, seed,
+                iterations=count, n_workers=n_workers, store_path=store_path,
+                scheduler=scheduler,
             )
-        )
+            result = results[FaultModel.STUCK_AT_1]
+            points.append(
+                IterationPoint(
+                    iterations=count,
+                    failure_probability=result.failure_probability,
+                    max_latency_us=result.max_detection_latency_us,
+                    mean_latency_us=result.mean_detection_latency_us,
+                    golden_instructions=result.golden_instructions,
+                )
+            )
     return points
 
 
@@ -269,13 +291,9 @@ def figure5_iu_faults(
     store_path: Optional[str] = None,
 ) -> Dict[str, Dict[FaultModel, CampaignResult]]:
     """Fault-injection experiments at integer-unit nodes (Figure 5)."""
-    return {
-        workload: _run_campaign(
-            workload, IU_SCOPE, fault_models, sample_size, seed,
-            n_workers=n_workers, store_path=store_path,
-        )
-        for workload in workloads
-    }
+    return _per_workload(
+        workloads, IU_SCOPE, fault_models, sample_size, seed, n_workers, store_path
+    )
 
 
 def figure6_cmem_faults(
@@ -287,13 +305,30 @@ def figure6_cmem_faults(
     store_path: Optional[str] = None,
 ) -> Dict[str, Dict[FaultModel, CampaignResult]]:
     """Fault-injection experiments at cache-memory nodes (Figure 6)."""
-    return {
-        workload: _run_campaign(
-            workload, CMEM_SCOPE, fault_models, sample_size, seed,
-            n_workers=n_workers, store_path=store_path,
-        )
-        for workload in workloads
-    }
+    return _per_workload(
+        workloads, CMEM_SCOPE, fault_models, sample_size, seed, n_workers,
+        store_path,
+    )
+
+
+def _per_workload(
+    workloads: Sequence[str],
+    unit_scope: str,
+    fault_models: Sequence[FaultModel],
+    sample_size: int,
+    seed: int,
+    n_workers: int,
+    store_path: Optional[str],
+) -> Dict[str, Dict[FaultModel, CampaignResult]]:
+    """One campaign per workload, all on one scheduler (Figures 5 and 6)."""
+    with make_scheduler(n_workers=n_workers) as scheduler:
+        return {
+            workload: _run_campaign(
+                workload, unit_scope, fault_models, sample_size, seed,
+                n_workers=n_workers, store_path=store_path, scheduler=scheduler,
+            )
+            for workload in workloads
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -323,49 +358,47 @@ def figure7_correlation(
     points; each subset contributes the mean Pf of its three members (the
     members only differ in input data).
     """
-    points: List[CorrelationPoint] = []
-    for workload in workloads:
-        program = build_program(workload)
-        characterization = characterize_program(program, name=workload)
-        results = _run_campaign(
-            workload, unit_scope, [fault_model], sample_size, seed,
-            n_workers=n_workers, store_path=store_path,
-        )
-        result = results[fault_model]
-        points.append(
-            CorrelationPoint(
-                workload=workload,
-                diversity=characterization.diversity,
-                failure_probability=result.failure_probability,
-                injections=result.injections,
+    with make_scheduler(n_workers=n_workers) as scheduler:
+        points: List[CorrelationPoint] = []
+        for workload in workloads:
+            program = build_program(workload)
+            characterization = characterize_program(program, name=workload)
+            results = _run_campaign(
+                workload, unit_scope, [fault_model], sample_size, seed,
+                n_workers=n_workers, store_path=store_path, scheduler=scheduler,
             )
-        )
-    if include_excerpts:
-        experiment = figure3_input_data(
-            sample_size=sample_size, seed=seed, n_workers=n_workers,
-            store_path=store_path,
-        )
-        subset_a_program = build_program(f"excerpt_{next(iter(SUBSET_A_MEMBERS))}")
-        subset_b_program = build_program(f"excerpt_{next(iter(SUBSET_B_MEMBERS))}")
-        diversity_a = characterize_program(subset_a_program).diversity
-        diversity_b = characterize_program(subset_b_program).diversity
-        points.append(
-            CorrelationPoint(
-                workload="excerpt_subset_a",
-                diversity=diversity_a,
-                failure_probability=experiment.mean("a"),
-                injections=sample_size * len(SUBSET_A_MEMBERS),
+            result = results[fault_model]
+            points.append(
+                CorrelationPoint(
+                    workload=workload,
+                    diversity=characterization.diversity,
+                    failure_probability=result.failure_probability,
+                    injections=result.injections,
+                )
             )
-        )
-        points.append(
-            CorrelationPoint(
-                workload="excerpt_subset_b",
-                diversity=diversity_b,
-                failure_probability=experiment.mean("b"),
-                injections=sample_size * len(SUBSET_B_MEMBERS),
+        if include_excerpts:
+            experiment = _input_data(sample_size, seed, n_workers, store_path, scheduler)
+            subset_a_program = build_program(f"excerpt_{next(iter(SUBSET_A_MEMBERS))}")
+            subset_b_program = build_program(f"excerpt_{next(iter(SUBSET_B_MEMBERS))}")
+            diversity_a = characterize_program(subset_a_program).diversity
+            diversity_b = characterize_program(subset_b_program).diversity
+            points.append(
+                CorrelationPoint(
+                    workload="excerpt_subset_a",
+                    diversity=diversity_a,
+                    failure_probability=experiment.mean("a"),
+                    injections=sample_size * len(SUBSET_A_MEMBERS),
+                )
             )
-        )
-    return correlate(points)
+            points.append(
+                CorrelationPoint(
+                    workload="excerpt_subset_b",
+                    diversity=diversity_b,
+                    failure_probability=experiment.mean("b"),
+                    injections=sample_size * len(SUBSET_B_MEMBERS),
+                )
+            )
+        return correlate(points)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +468,11 @@ def simulation_time_comparison(
         n_workers=n_workers,
         store_path=store_path,
     )
-    engine = CampaignEngine(program, config, backend_factory=Leon3RtlBackend)
-    result = engine.run_model(FaultModel.STUCK_AT_1)
+    with make_scheduler(n_workers=n_workers) as scheduler:
+        engine = CampaignEngine(
+            program, config, backend_factory=Leon3RtlBackend, scheduler=scheduler
+        )
+        result = engine.run_model(FaultModel.STUCK_AT_1)
     iss_seconds = reference_run_seconds(
         program, IssBackend, runs=sample_size, max_instructions=config.max_instructions
     )

@@ -6,7 +6,8 @@ This is the load-bearing orchestration layer of the framework.  A campaign is
    expanded into a flat list of picklable :class:`InjectionJob`s,
 2. **executed** — through a pluggable scheduler (serial, or a
    :mod:`multiprocessing` pool with chunked batches and per-worker golden
-   caching), and
+   caching; a caller running several campaigns passes one scheduler to
+   each engine, so they share one pool), and
 3. **aggregated** — finished :class:`OutcomeRecord`s stream into per-model
    :class:`CampaignResult`s incrementally, firing an optional progress
    callback after every injection.
@@ -28,6 +29,7 @@ resumed campaign aggregates in exactly the same order as an uninterrupted one
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import platform
@@ -36,6 +38,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ContextManager,
     Dict,
     List,
     Optional,
@@ -70,6 +73,7 @@ from repro.engine.jobs import (
 )
 from repro.engine.schedulers import (
     KNOWN_SCHEDULERS,
+    Scheduler,
     _run_golden,
     make_scheduler,
 )
@@ -274,9 +278,15 @@ class CampaignEngine:
         program: Program,
         config: Optional[CampaignConfig] = None,
         backend_factory: Callable[[], ExecutionBackend] = Leon3RtlBackend,
+        scheduler: Optional[Scheduler] = None,
     ):
         self.program = program
         self.config = config if config is not None else CampaignConfig()
+        #: A scheduler the caller scopes and shares across campaigns (its
+        #: pool outlives this engine's runs); ``None`` makes each run build
+        #: one from ``config.scheduler`` / ``n_workers`` / ``chunk_size``
+        #: and close it when the run ends.
+        self.scheduler = scheduler
         self.backend_factory = self._bind_interpreter_flags(
             backend_factory, self.config.iss_fast, self.config.rtl_fast
         )
@@ -577,6 +587,9 @@ class CampaignEngine:
         at entry, so after the call the registry holds exactly this run's
         metrics — and the durable path persists them as the campaign's run
         manifest.
+
+        Jobs execute on the engine's ``scheduler`` when it has one, else on
+        a scheduler this run builds and closes.
         """
         self._setup_telemetry()
         owns_store = False
@@ -588,16 +601,29 @@ class CampaignEngine:
             store = CampaignStore(self.config.store_path)
             owns_store = True
         try:
-            with TELEMETRY.span("campaign.run") as span:
+            with self._scheduler_scope() as scheduler, TELEMETRY.span(
+                "campaign.run"
+            ) as span:
                 if store is None:
-                    return self._run_direct(fault_models, sites, progress, span)
-                return self._run_stored(store, fault_models, sites, progress, span)
+                    return self._run_direct(
+                        scheduler, fault_models, sites, progress, span
+                    )
+                return self._run_stored(
+                    scheduler, store, fault_models, sites, progress, span
+                )
         finally:
             if owns_store:
                 store.close()
             events = TELEMETRY.events
             if events is not None:
                 events.close()
+
+    def _scheduler_scope(self) -> ContextManager[Scheduler]:
+        """The engine's own scheduler, left open, or one for this run only."""
+        if self.scheduler is not None:
+            return contextlib.nullcontext(self.scheduler)
+        config = self.config
+        return make_scheduler(config.scheduler, config.n_workers, config.chunk_size)
 
     def _setup_telemetry(self) -> None:
         """Arm the process-local registry for this run (when configured).
@@ -618,6 +644,7 @@ class CampaignEngine:
 
     def _run_direct(
         self,
+        scheduler: Scheduler,
         fault_models: Optional[Sequence[FaultModel]],
         sites: Optional[Sequence[FaultSite]],
         progress: Optional[ProgressCallback],
@@ -651,9 +678,6 @@ class CampaignEngine:
             if progress is not None:
                 progress(done, plan.total_jobs, outcome)
 
-        scheduler = make_scheduler(
-            self.config.scheduler, self.config.n_workers, self.config.chunk_size
-        )
         # Schedulers deliver outcomes in plan order (serial trivially; the
         # pool via ordered imap), so the streamed appends above are already
         # the canonical per-model result lists.
@@ -663,6 +687,7 @@ class CampaignEngine:
 
     def _run_stored(
         self,
+        scheduler: Scheduler,
         store: "CampaignStore",
         fault_models: Optional[Sequence[FaultModel]],
         sites: Optional[Sequence[FaultSite]],
@@ -816,9 +841,6 @@ class CampaignEngine:
                     lockstep_width=config.lockstep_width,
                     screen=self._screen,
                     timelines=self._timelines,
-                )
-                scheduler = make_scheduler(
-                    config.scheduler, config.n_workers, config.chunk_size
                 )
                 scheduler.execute(subplan, on_outcome)
         finally:

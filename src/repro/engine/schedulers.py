@@ -6,12 +6,21 @@ Two schedulers are provided:
   plan order.  Zero overhead, fully deterministic; the reference
   implementation every other scheduler must match bit-for-bit.
 * :class:`MultiprocessingScheduler` — fans chunked job batches out to a
-  :class:`multiprocessing.Pool`.  Each worker builds one backend, runs
-  the golden reference once, and then reuses both across every batch it
-  receives (per-worker golden caching), so the per-injection cost approaches
-  the raw simulation cost.  Ordered ``imap`` plus a final sort by job index
-  makes the outcome stream identical to the serial scheduler's for the same
-  plan.
+  :class:`multiprocessing.Pool`.  The pool is a resource the caller scopes:
+  it forks on the first batch the scheduler runs, serves every later
+  campaign handed to the same scheduler, and ends on :meth:`close` (or when
+  a ``with`` block exits).  Each batch carries its campaign's worker state
+  (:class:`WorkerCampaign`, pickled once per campaign) under a campaign
+  token; a worker builds one backend and runs the golden reference once per
+  campaign, then reuses both across every batch of that campaign it
+  receives (per-worker golden caching).  Ordered ``imap`` plus a final sort
+  by job index makes the outcome stream identical to the serial
+  scheduler's for the same plan.
+
+Both are context managers with the same ``execute`` / ``close`` protocol
+(the serial one's ``close`` does nothing), so a caller that runs several
+campaigns opens one scheduler and hands it to each
+:class:`~repro.engine.campaign.CampaignEngine`.
 
 Both stream :class:`OutcomeRecord`s through an optional callback as they
 finish, which the engine uses for incremental aggregation and progress
@@ -28,6 +37,9 @@ bit-identical to the scalar path, so the outcome stream is unchanged
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pickle
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -66,6 +78,10 @@ from repro.obs.telemetry import TELEMETRY
 from repro.rtl.sites import FaultSite
 
 if TYPE_CHECKING:
+    # Annotations only: ``multiprocessing.Pool()`` imports the module when a
+    # pool first starts, so processes that never fork one skip its ~10 ms.
+    import multiprocessing.pool
+
     from repro.engine.checkpoint import _CheckpointRunnerBase
     from repro.engine.lockstep import GoldenTimelines, LockstepPackRunner
     from repro.isa.assembler import Program
@@ -247,6 +263,16 @@ class SerialScheduler:
 
     name = "serial"
 
+    def __enter__(self) -> "SerialScheduler":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Nothing to release: the protocol :class:`MultiprocessingScheduler`
+        needs for its pool."""
+
     def execute(
         self, plan: CampaignPlan, on_outcome: Optional[OutcomeCallback] = None
     ) -> List[OutcomeRecord]:
@@ -276,11 +302,54 @@ class SerialScheduler:
 
 # -- multiprocessing worker side ---------------------------------------------------
 #
-# Worker state lives in module globals initialised once per worker process via
-# the Pool initializer; only small picklable objects (the backend factory, the
-# program, job batches, outcome records) ever cross the process boundary.
+# A worker holds the state of one campaign at a time in a module global.  The
+# parent pickles that state once per campaign and sends it with every batch
+# under a campaign token; a worker whose state belongs to another token (or
+# was inherited through fork) rebuilds it before running the batch.  Only
+# small picklable objects (the campaign state, job batches, outcome records)
+# ever cross the process boundary.
 
 _WORKER: Dict[str, object] = {}  # reprolint: worker-state
+
+
+@dataclass(frozen=True)
+class WorkerCampaign:
+    """What a pool worker needs to run one campaign's jobs.
+
+    Built and pickled once per campaign in the parent; each worker loads it
+    once, on the first batch of that campaign it receives.
+    """
+
+    backend_factory: Callable[[], ExecutionBackend]
+    program: "Program"
+    max_instructions: int
+    transient: bool
+    checkpoint_interval: Optional[int]
+    early_exit: bool
+    lockstep_width: int
+    #: The planner's inert screen: valid in a worker, whose golden is
+    #: bit-identical to the planner's.
+    screen: Optional[InertScreen]
+    #: The parent's telemetry state, mirrored into the worker's registry.
+    telemetry_enabled: bool
+    trace_path: Optional[str]
+
+    @classmethod
+    def of(cls, plan: CampaignPlan) -> "WorkerCampaign":
+        """The worker state of *plan*, with the parent's telemetry state."""
+        events = TELEMETRY.events
+        return cls(
+            backend_factory=plan.backend_factory,
+            program=plan.program,
+            max_instructions=plan.max_instructions,
+            transient=plan.transient,
+            checkpoint_interval=plan.checkpoint_interval,
+            early_exit=plan.early_exit,
+            lockstep_width=plan.lockstep_width,
+            screen=plan.screen,
+            telemetry_enabled=TELEMETRY.enabled,
+            trace_path=events.path if events is not None else None,
+        )
 
 
 def _run_golden(
@@ -313,34 +382,32 @@ def _run_golden(
     return backend.run(max_instructions=max_instructions), None
 
 
-def _init_worker(
-    backend_factory: Callable[[], ExecutionBackend],
-    program: "Program",
-    max_instructions: int,
-    transient: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    early_exit: bool = True,
-    lockstep_width: int = 1,
-    telemetry_enabled: bool = False,
-    trace_path: Optional[str] = None,
-    screen: Optional[InertScreen] = None,
-) -> None:
+def _init_worker(campaign: WorkerCampaign) -> None:
+    """Build this worker's state for *campaign*: its backend, its golden run
+    and the runners built on them.  The previous campaign's state is dropped
+    first."""
+    _WORKER.clear()
     # Mirror the parent's telemetry state into this worker process: the
     # registry is process-local, so each worker accumulates its own deltas
     # (shipped home per batch by :func:`_run_batch`) and — when tracing —
     # appends to its own per-PID sidecar file.
-    if telemetry_enabled:
+    TELEMETRY.reset()
+    TELEMETRY.events = None
+    if campaign.telemetry_enabled:
         TELEMETRY.enable()
-        TELEMETRY.reset()
-        if trace_path is not None:
-            TELEMETRY.events = EventLog(trace_path)
-    backend: ExecutionBackend = backend_factory()
-    backend.prepare(program)
-    record_touches = packs_enabled(backend, lockstep_width)
+        if campaign.trace_path is not None:
+            TELEMETRY.events = EventLog(campaign.trace_path)
+    else:
+        TELEMETRY.disable()
+    backend: ExecutionBackend = campaign.backend_factory()
+    backend.prepare(campaign.program)
+    max_instructions = campaign.max_instructions
+    record_touches = packs_enabled(backend, campaign.lockstep_width)
     runner: Optional["_CheckpointRunnerBase"] = None
-    if transient:
+    if campaign.transient:
         runner = make_checkpoint_runner(
-            backend, max_instructions, checkpoint_interval, record_touches
+            backend, max_instructions, campaign.checkpoint_interval,
+            record_touches,
         )
     with TELEMETRY.span("golden"):
         golden, timelines = _run_golden(
@@ -348,39 +415,48 @@ def _init_worker(
         )
     if not golden.normal_exit:
         raise RuntimeError(
-            f"worker golden run of {program.name!r} did not exit normally "
-            f"(trap={golden.trap_kind})"
+            f"worker golden run of {campaign.program.name!r} did not exit "
+            f"normally (trap={golden.trap_kind})"
         )
     _WORKER["backend"] = backend
     _WORKER["golden"] = golden
     _WORKER["budget"] = watchdog_budget(golden.instructions)
     _WORKER["runner"] = runner
-    _WORKER["early_exit"] = early_exit
-    # The planner's screen is valid here: this worker's golden is
-    # bit-identical to the planner's.
-    _WORKER["screen"] = screen
+    _WORKER["early_exit"] = campaign.early_exit
+    _WORKER["screen"] = campaign.screen
     _WORKER["pack_runner"] = make_pack_runner(
-        backend, max_instructions, lockstep_width, runner=runner,
+        backend, max_instructions, campaign.lockstep_width, runner=runner,
         timelines=timelines,
     )
 
 
+#: One pool submission: campaign token, pickled :class:`WorkerCampaign`, jobs.
+BatchTask = Tuple[int, bytes, Sequence[CampaignJob]]
+
+
 def _run_batch(
-    jobs: Sequence[CampaignJob],
+    task: BatchTask,
 ) -> Tuple[List[OutcomeRecord], Optional[Dict[str, Any]]]:
     """Execute one batch in this worker; returns the outcome records plus a
     snapshot-and-reset of the worker's telemetry registry (``None`` when
     telemetry is off), so successive batches ship disjoint metric deltas the
-    parent merges additively."""
+    parent merges additively.
+
+    The worker (re)builds its campaign state when the batch's token is not
+    the one its state was built for in this process: the process id in the
+    key keeps a forked worker from taking over state its parent built."""
+    token, campaign, jobs = task
+    key = (os.getpid(), token)
+    if _WORKER.get("campaign") != key:
+        _init_worker(pickle.loads(campaign))
+        _WORKER["campaign"] = key
     backend: ExecutionBackend = _WORKER["backend"]  # type: ignore[assignment]
     golden: RunResult = _WORKER["golden"]  # type: ignore[assignment]
     budget: int = _WORKER["budget"]  # type: ignore[assignment]
-    runner = cast("Optional[_CheckpointRunnerBase]", _WORKER.get("runner"))
-    early_exit: bool = _WORKER.get("early_exit", True)  # type: ignore[assignment]
-    screen = cast("Optional[InertScreen]", _WORKER.get("screen"))
-    pack_runner = cast(
-        "Optional[LockstepPackRunner]", _WORKER.get("pack_runner")
-    )
+    runner = cast("Optional[_CheckpointRunnerBase]", _WORKER["runner"])
+    early_exit: bool = _WORKER["early_exit"]  # type: ignore[assignment]
+    screen = cast("Optional[InertScreen]", _WORKER["screen"])
+    pack_runner = cast("Optional[LockstepPackRunner]", _WORKER["pack_runner"])
     records = list(execute_jobs(
         backend, golden, budget, jobs, runner=runner, pack_runner=pack_runner,
         early_exit=early_exit, screen=screen,
@@ -410,7 +486,13 @@ def chunk_jobs(
 
 
 class MultiprocessingScheduler:
-    """Fan job batches out to a pool of per-backend worker processes."""
+    """Fan job batches out to a pool of worker processes that lives from the
+    first batch to :meth:`close`, across every campaign this scheduler runs.
+
+    Scope it to the campaigns that share it (``with make_scheduler(...) as
+    scheduler:``); a scheduler that is never closed keeps its workers until
+    the interpreter exits.
+    """
 
     name = "process"
 
@@ -419,6 +501,36 @@ class MultiprocessingScheduler:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.chunk_size = chunk_size
+        self._pool: Optional[multiprocessing.pool.Pool] = None
+        #: Campaigns dispatched so far; the last one's token.
+        self._campaigns = 0
+
+    def __enter__(self) -> "MultiprocessingScheduler":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End the worker pool, if one was started; a later batch forks a
+        new one."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+    def _workers(self) -> multiprocessing.pool.Pool:
+        """The pool, forked on first use."""
+        if self._pool is None:
+            events = TELEMETRY.events
+            if events is not None:
+                # Flush the parent's buffered trace lines so no forked
+                # worker inherits (and writes out) a copy of them.
+                events.close()
+            # The span's count is the number of pool starts.
+            with TELEMETRY.span("scheduler.pool_start"):
+                self._pool = multiprocessing.Pool(processes=self.n_workers)
+        return self._pool
 
     def execute(
         self, plan: CampaignPlan, on_outcome: Optional[OutcomeCallback] = None
@@ -432,36 +544,40 @@ class MultiprocessingScheduler:
         batches = chunk_jobs(plan.jobs, self.n_workers, self.chunk_size)
         if not batches:
             return []
+        # The parent's telemetry state now decides the workers': each worker
+        # mirrors it in its own process-local registry and ships per-batch
+        # snapshot deltas home with its records.
+        self._campaigns += 1
+        campaign = pickle.dumps(WorkerCampaign.of(plan))
+        tasks: List[BatchTask] = [
+            (self._campaigns, campaign, batch) for batch in batches
+        ]
         records: List[OutcomeRecord] = []
-        # The parent's telemetry state at pool creation decides the workers':
-        # each worker mirrors it in its own process-local registry and ships
-        # per-batch snapshot deltas home with its records.
-        events = TELEMETRY.events
-        with multiprocessing.Pool(
-            processes=min(self.n_workers, len(batches)),
-            initializer=_init_worker,
-            initargs=(
-                plan.backend_factory, plan.program, plan.max_instructions,
-                plan.transient, plan.checkpoint_interval, plan.early_exit,
-                plan.lockstep_width, TELEMETRY.enabled,
-                events.path if events is not None else None, plan.screen,
-            ),
-        ) as pool:
-            for batch_records, snapshot in pool.imap(_run_batch, batches):
+        try:
+            for batch_records, snapshot in self._workers().imap(_run_batch, tasks):
                 TELEMETRY.merge(snapshot)
                 for record in batch_records:
                     records.append(record)
                     if on_outcome is not None:
                         on_outcome(record)
+        except BaseException:
+            # An interrupted or failed campaign leaves batches queued or
+            # running: end the pool so none of them outlives this call.
+            self.close()
+            raise
         records.sort(key=lambda record: record.job.index)
         return records
+
+
+#: Either scheduler; both share the ``execute`` / ``close`` protocol.
+Scheduler = Union[SerialScheduler, MultiprocessingScheduler]
 
 
 def make_scheduler(
     scheduler: Optional[str] = None,
     n_workers: int = 1,
     chunk_size: Optional[int] = None,
-) -> Union[SerialScheduler, MultiprocessingScheduler]:
+) -> Scheduler:
     """Resolve a scheduler from a name plus a worker count.
 
     ``None`` auto-selects: serial for one worker, multiprocessing otherwise.

@@ -160,6 +160,7 @@ def run_sharded_campaign(
     # import them back at module load.
     from repro.engine.backend import Leon3RtlBackend
     from repro.engine.campaign import CampaignEngine
+    from repro.engine.schedulers import make_scheduler
     from repro.store.merge import merge_stores
 
     if backend_factory is None:
@@ -171,13 +172,17 @@ def run_sharded_campaign(
             "(config.store_path or the store_path argument)"
         )
     shard_paths: List[str] = []
-    for shard_index in range(shards):
-        path = shard_store_path(canonical, shards, shard_index)
-        shard_config = dataclasses.replace(
-            config, shards=shards, shard_index=shard_index, store_path=path
-        )
-        CampaignEngine(
-            program, shard_config, backend_factory=backend_factory
-        ).run()
-        shard_paths.append(path)
+    with make_scheduler(
+        config.scheduler, config.n_workers, config.chunk_size
+    ) as scheduler:
+        for shard_index in range(shards):
+            path = shard_store_path(canonical, shards, shard_index)
+            shard_config = dataclasses.replace(
+                config, shards=shards, shard_index=shard_index, store_path=path
+            )
+            CampaignEngine(
+                program, shard_config, backend_factory=backend_factory,
+                scheduler=scheduler,
+            ).run()
+            shard_paths.append(path)
     return merge_stores(canonical, shard_paths)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.isa.decoder import Instruction
 from repro.isa.instructions import (
@@ -25,6 +25,36 @@ from repro.isa.instructions import (
     InstructionCategory,
     InstructionDef,
 )
+
+
+#: Index spaces of the fold classes below.
+_CATEGORIES = tuple(InstructionCategory)
+_UNITS = tuple(FunctionalUnit)
+
+#: What :meth:`ExecutionTrace.record_counts` folds per executed mnemonic
+#: besides its opcode count, by index into :data:`_CATEGORIES` /
+#: :data:`_UNITS`: category, memory read and write flags, and the units in
+#: ``defn.units`` iteration order.  Mnemonics that agree on all of it share
+#: one class.
+_FoldClass = Tuple[int, bool, bool, Tuple[int, ...]]
+
+
+def _fold_classes() -> Tuple[Dict[str, int], List[_FoldClass]]:
+    by_class: Dict[_FoldClass, int] = {}
+    of_mnemonic: Dict[str, int] = {}
+    for defn in INSTRUCTION_SET:
+        row = (
+            _CATEGORIES.index(defn.category),
+            defn.reads_memory,
+            defn.writes_memory,
+            tuple(_UNITS.index(unit) for unit in defn.units),
+        )
+        of_mnemonic[defn.mnemonic] = by_class.setdefault(row, len(by_class))
+    return of_mnemonic, list(by_class)
+
+
+#: Mnemonic -> index of its fold class in :data:`_FOLD_CLASSES`.
+_FOLD_CLASS, _FOLD_CLASSES = _fold_classes()
 
 
 @dataclass(frozen=True)
@@ -89,44 +119,55 @@ class ExecutionTrace:
         Counts kept in first-execution order give Counters whose key
         insertion order equals that of a per-instruction fold, so every core
         that defers its tally this way builds the same trace, key for key.
+
+        Each mnemonic adds its count to its fold class (:data:`_FOLD_CLASS`);
+        the classes then fold into the category, memory and unit totals in
+        first-appearance order.  A category or unit first appears with the
+        first class holding it, which holds the first mnemonic that uses
+        it, so the key order is the per-instruction fold's.
         """
-        by_mnemonic = INSTRUCTION_SET.by_mnemonic
+        fold_class = _FOLD_CLASS
         opcode_counts = self.opcode_counts
         opcode_get = opcode_counts.get
-        # Category and unit totals fold once per key, in first-appearance
-        # order (enum hashing dominates a per-mnemonic Counter update); the
-        # local maps are keyed by the members' ids, which hash in C.
-        categories: Dict[int, list] = {}
-        units: Dict[int, list] = {}
+        classes: Dict[int, list] = {}
         for mnemonic, count in counts.items():
             if count <= 0:
                 continue
             if self.detailed:
                 raise ValueError("record_counts cannot produce detailed records")
-            defn = by_mnemonic(mnemonic)
-            self.total_instructions += count
             opcode_counts[mnemonic] = opcode_get(mnemonic, 0) + count
-            entry = categories.get(id(defn.category))
+            key = fold_class[mnemonic]
+            entry = classes.get(key)
             if entry is None:
-                categories[id(defn.category)] = [defn.category, count]
+                classes[key] = [count, [mnemonic]]
             else:
-                entry[1] += count
-            if defn.reads_memory:
+                entry[0] += count
+                entry[1].append(mnemonic)
+        # Categories and units fold by index first: enum members hash in
+        # Python, so each member is hashed once per call, not once per class.
+        categories: Dict[int, int] = {}
+        units: Dict[int, list] = {}
+        for key, (count, mnemonics) in classes.items():
+            category, reads_memory, writes_memory, unit_ids = _FOLD_CLASSES[key]
+            self.total_instructions += count
+            categories[category] = categories.get(category, 0) + count
+            if reads_memory:
                 self.memory_reads += count
-            if defn.writes_memory:
+            if writes_memory:
                 self.memory_writes += count
-            for unit in defn.units:
-                entry = units.get(id(unit))
+            for unit in unit_ids:
+                entry = units.get(unit)
                 if entry is None:
-                    units[id(unit)] = [unit, count, [mnemonic]]
+                    units[unit] = [count, mnemonics]
                 else:
-                    entry[1] += count
-                    entry[2].append(mnemonic)
-        for category, count in categories.values():
-            self.category_counts[category] += count
-        for unit, count, mnemonics in units.values():
-            self.unit_counts[unit] += count
-            self.unit_opcodes.setdefault(unit, set()).update(mnemonics)
+                    entry[0] += count
+                    entry.append(mnemonics)
+        for category, count in categories.items():
+            self.category_counts[_CATEGORIES[category]] += count
+        for unit, (count, *mnemonics) in units.items():
+            member = _UNITS[unit]
+            self.unit_counts[member] += count
+            self.unit_opcodes.setdefault(member, set()).update(*mnemonics)
 
     def _fold_aggregates(self, defn: InstructionDef, count: int) -> None:
         mnemonic = defn.mnemonic

@@ -11,6 +11,7 @@ import json
 
 from bench_utils import (
     REGRESSION_TOLERANCE,
+    SimulatedInstructions,
     aggregate_speedup_of,
     append_record,
     latest_record,
@@ -133,6 +134,65 @@ class TestGate:
         assert run_gated_benchmark(
             path, _record(5.0), ("width",), check=True, no_write=True
         ) == 0
+
+
+class TestWorkGate:
+    """Work-gated benches: the tolerance holds the work ratio against the
+    committed one, and the timed speedup only has to clear the floor."""
+
+    @staticmethod
+    def _gate(path, speedup, work):
+        record = _record(speedup)
+        record["aggregate"]["work_ratio"] = work
+        return run_gated_benchmark(
+            path, record, ("width",), check=True, no_write=True,
+            speedup_floor=3.0, tolerance=0.02,
+            work_of=lambda r: r["aggregate"].get("work_ratio"),
+        )
+
+    def test_a_slower_timed_leg_within_the_floor_passes(self, tmp_path):
+        path = tmp_path / "BENCH_unit.json"
+        append_record(path, {**_record(6.0), "aggregate": {
+            "speedup": 6.0, "work_ratio": 5.0}})
+        assert self._gate(path, 3.1, 5.0) == 0
+
+    def test_more_work_per_injection_fails(self, tmp_path):
+        path = tmp_path / "BENCH_unit.json"
+        append_record(path, {**_record(6.0), "aggregate": {
+            "speedup": 6.0, "work_ratio": 5.0}})
+        assert self._gate(path, 6.0, 4.95) == 0
+        assert self._gate(path, 6.0, 4.85) == 1
+
+    def test_the_floor_still_holds(self, tmp_path):
+        path = tmp_path / "BENCH_unit.json"
+        append_record(path, {**_record(6.0), "aggregate": {
+            "speedup": 6.0, "work_ratio": 5.0}})
+        assert self._gate(path, 2.9, 5.0) == 1
+
+    def test_a_record_without_work_ratio_skips_the_comparison(self, tmp_path):
+        path = tmp_path / "BENCH_unit.json"
+        append_record(path, _record(6.0))
+        assert self._gate(path, 3.5, 1.0) == 0
+
+
+class TestSimulatedInstructions:
+    def test_counts_are_the_instructions_the_runs_report(self):
+        from repro.engine import IssBackend, Leon3RtlBackend
+        from repro.workloads import build_program
+
+        program = build_program("intbench")
+        for factory in (IssBackend, Leon3RtlBackend):
+            backend = factory()
+            backend.prepare(program)
+            with SimulatedInstructions() as work:
+                first = backend.run(max_instructions=400_000)
+                second = backend.run(max_instructions=400_000)
+            assert work.count == first.instructions + second.instructions
+        # Leaving the context restores the engines.
+        with SimulatedInstructions() as idle:
+            pass
+        backend.run(max_instructions=400_000)
+        assert idle.count == 0
 
 
 class TestPerfHistoryManifest:

@@ -17,11 +17,17 @@ The acceptance properties of :mod:`repro.obs` live here:
 """
 
 import json
+import os
 import pickle
 
 import pytest
 
-from repro.engine import CampaignConfig, CampaignEngine, IssBackend
+from repro.engine import (
+    CampaignConfig,
+    CampaignEngine,
+    IssBackend,
+    MultiprocessingScheduler,
+)
 from repro.obs.events import EventLog, export_chrome_trace, sidecar_paths
 from repro.obs.telemetry import (
     TELEMETRY,
@@ -48,7 +54,7 @@ def _clean_registry():
         TELEMETRY.events = None
 
 
-def _snapshot_of(config_overrides, workload="rspeed"):
+def _snapshot_of(config_overrides, workload="rspeed", scheduler=None):
     """Run one direct (store-less) campaign and return the merged snapshot."""
     program = build_program(workload)
     config = CampaignConfig(
@@ -58,7 +64,9 @@ def _snapshot_of(config_overrides, workload="rspeed"):
         transient_windows=2,
         **config_overrides,
     )
-    CampaignEngine(program, config, backend_factory=IssBackend).run()
+    CampaignEngine(
+        program, config, backend_factory=IssBackend, scheduler=scheduler
+    ).run()
     return TELEMETRY.snapshot()
 
 
@@ -176,6 +184,41 @@ class TestSchedulerTransparency:
         assert any(
             series.startswith("checkpoint.") for series in serial["counters"]
         )
+
+    def test_campaigns_sharing_one_pool_ship_their_own_deltas(self):
+        """Two campaigns on one process scheduler: each one's merged worker
+        metrics still equal its serial run's, and the second campaign's
+        workers ran their own golden for it."""
+        with MultiprocessingScheduler(2) as scheduler:
+            for workload in ("rspeed", "intbench"):
+                serial = _snapshot_of({}, workload)
+                process = _snapshot_of(
+                    {"n_workers": 2, "scheduler": "process"}, workload, scheduler
+                )
+                assert _without_timings(serial) == _without_timings(process)
+                # The planner's golden plus at least one worker's.
+                assert process["histograms"]["golden.seconds"]["count"] >= 2
+
+    @pytest.mark.parametrize(
+        "untraced", [{"telemetry": False}, {}], ids=["telemetry-off", "untraced"]
+    )
+    def test_traced_campaign_after_untraced_one_on_one_pool(
+        self, tmp_path, untraced
+    ):
+        """A worker that served an untraced campaign mirrors the next
+        campaign's tracing: it ships deltas and writes its own sidecar."""
+        trace = str(tmp_path / "trace.jsonl")
+        process = {"n_workers": 2, "scheduler": "process"}
+        with MultiprocessingScheduler(2) as scheduler:
+            _snapshot_of({**process, **untraced}, "rspeed", scheduler)
+            traced = _snapshot_of(
+                {**process, "trace_path": trace}, "intbench", scheduler
+            )
+        serial = _snapshot_of({}, "intbench")
+        assert _without_timings(traced) == _without_timings(serial)
+        pids = {int(path.rsplit(".", 1)[1]) for path in sidecar_paths(trace)}
+        assert os.getpid() in pids
+        assert pids - {os.getpid()}, "no worker wrote a trace sidecar"
 
     def test_campaign_run_with_telemetry_off_records_nothing(self):
         snapshot = _snapshot_of({"telemetry": False})

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import IssBackend
 from repro.isa.decoder import decode
 from repro.isa.encoding import Format3Imm, Format3Reg
 from repro.isa.instructions import INSTRUCTION_SET, FunctionalUnit, InstructionCategory
 from repro.iss.timing import TimingModel, TimingReport
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
+from repro.workloads import all_workloads, build_program
 
 from conftest import run_asm
 
@@ -175,6 +177,18 @@ class TestRecordCounts:
         for mnemonic, count in counts.items():
             for _ in range(count):
                 stepped.record(_instruction(mnemonic), 0, 0)
+        assert _ordered(bulk) == _ordered(stepped)
+        assert bulk == stepped
+
+    @pytest.mark.parametrize("name", sorted(all_workloads()))
+    def test_equals_a_per_instruction_fold_on_every_workload(self, name):
+        """The opcode counts of a reference ISS run, in first-execution
+        order, fold into the trace its per-instruction ``record`` built."""
+        backend = IssBackend(fast=False)
+        backend.prepare(build_program(name))
+        stepped = backend.run(max_instructions=400_000).trace
+        bulk = ExecutionTrace()
+        bulk.record_counts(stepped.opcode_counts)
         assert _ordered(bulk) == _ordered(stepped)
         assert bulk == stepped
 
