@@ -468,11 +468,8 @@ def simulation_time_comparison(
         n_workers=n_workers,
         store_path=store_path,
     )
-    with make_scheduler(n_workers=n_workers) as scheduler:
-        engine = CampaignEngine(
-            program, config, backend_factory=Leon3RtlBackend, scheduler=scheduler
-        )
-        result = engine.run_model(FaultModel.STUCK_AT_1)
+    engine = CampaignEngine(program, config, backend_factory=Leon3RtlBackend)
+    result = engine.run_model(FaultModel.STUCK_AT_1)
     iss_seconds = reference_run_seconds(
         program, IssBackend, runs=sample_size, max_instructions=config.max_instructions
     )

@@ -13,6 +13,7 @@ from bench_utils import (
     REGRESSION_TOLERANCE,
     SimulatedInstructions,
     aggregate_speedup_of,
+    aggregate_work_ratio_of,
     append_record,
     latest_record,
     load_history,
@@ -137,8 +138,8 @@ class TestGate:
 
 
 class TestWorkGate:
-    """Work-gated benches: the tolerance holds the work ratio against the
-    committed one, and the timed speedup only has to clear the floor."""
+    """Work-gated benches: the timed speedup is gated as before, and the
+    work ratio must also stay within the tolerance of the committed one."""
 
     @staticmethod
     def _gate(path, speedup, work):
@@ -147,32 +148,38 @@ class TestWorkGate:
         return run_gated_benchmark(
             path, record, ("width",), check=True, no_write=True,
             speedup_floor=3.0, tolerance=0.02,
-            work_of=lambda r: r["aggregate"].get("work_ratio"),
+            work_of=aggregate_work_ratio_of,
         )
 
-    def test_a_slower_timed_leg_within_the_floor_passes(self, tmp_path):
+    @staticmethod
+    def _committed(tmp_path, speedup=6.0, work=5.0):
         path = tmp_path / "BENCH_unit.json"
-        append_record(path, {**_record(6.0), "aggregate": {
-            "speedup": 6.0, "work_ratio": 5.0}})
-        assert self._gate(path, 3.1, 5.0) == 0
+        append_record(path, {**_record(speedup), "aggregate": {
+            "speedup": speedup, "work_ratio": work}})
+        return path
+
+    def test_the_timed_tolerance_still_holds(self, tmp_path):
+        """Equal work does not excuse a slower fast leg: the timed speedup
+        keeps its 2% bound against the committed record."""
+        path = self._committed(tmp_path)
+        assert self._gate(path, 5.9, 5.0) == 0
+        assert self._gate(path, 5.8, 5.0) == 1
+        assert self._gate(path, 3.1, 5.0) == 1
 
     def test_more_work_per_injection_fails(self, tmp_path):
-        path = tmp_path / "BENCH_unit.json"
-        append_record(path, {**_record(6.0), "aggregate": {
-            "speedup": 6.0, "work_ratio": 5.0}})
+        path = self._committed(tmp_path)
         assert self._gate(path, 6.0, 4.95) == 0
         assert self._gate(path, 6.0, 4.85) == 1
 
     def test_the_floor_still_holds(self, tmp_path):
-        path = tmp_path / "BENCH_unit.json"
-        append_record(path, {**_record(6.0), "aggregate": {
-            "speedup": 6.0, "work_ratio": 5.0}})
-        assert self._gate(path, 2.9, 5.0) == 1
+        path = self._committed(tmp_path, speedup=3.0)
+        assert self._gate(path, 2.99, 5.0) == 1
 
     def test_a_record_without_work_ratio_skips_the_comparison(self, tmp_path):
         path = tmp_path / "BENCH_unit.json"
         append_record(path, _record(6.0))
-        assert self._gate(path, 3.5, 1.0) == 0
+        assert aggregate_work_ratio_of(latest_record(path)) is None
+        assert self._gate(path, 6.0, 1.0) == 0
 
 
 class TestSimulatedInstructions:
