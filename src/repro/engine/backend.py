@@ -45,7 +45,7 @@ from typing import (
 from repro.isa.assembler import Program
 from repro.iss.emulator import Emulator, ExecutionResult
 from repro.iss.fastpath import FastEmulator
-from repro.iss.faults import ArchitecturalFault, _FaultyEmulator
+from repro.iss.faults import ArchitecturalFault, FaultyEmulator
 from repro.iss.memory import Memory
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 from repro.leon3.core import Leon3Core, RtlExecutionResult
@@ -411,7 +411,7 @@ class IssBackend:
                 fast.observe(recorder)
             emulator: Emulator = fast
         elif arch_faults:
-            emulator = _FaultyEmulator(
+            emulator = FaultyEmulator(
                 arch_faults[0], memory=Memory(), detailed_trace=self.detailed_trace
             )
         else:

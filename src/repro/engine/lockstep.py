@@ -107,8 +107,21 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.isa import semantics
 from repro.isa.ccodes import ConditionCodes, evaluate_condition
 from repro.isa.decoder import DecodeError
 from repro.isa.instructions import INSTRUCTION_SET
@@ -161,35 +174,34 @@ _MemOp = Tuple[int, int, Optional[int], int, bool]
 _BRANCH_HANDLER = _fastpath._h_branch
 _TICC_HANDLER = _fastpath._h_ticc
 
+
+def _table_handlers(*families: Iterable[str]) -> FrozenSet[Callable[..., Any]]:
+    """The fast-path handlers of every row of the semantics-table
+    *families* (:mod:`repro.isa.semantics`)."""
+    return frozenset(
+        _fastpath._ALU_HANDLERS[base] for family in families for base in family
+    )
+
+
 #: Handlers safe to double-execute on the leader: they read only registers /
 #: ICC / Y, write only their destination slots / ICC / Y, never touch memory
-#: or transactions, never trap and never redirect control flow.  (Division
+#: or transactions, never trap and never redirect control flow — every ALU
+#: and product row of the semantics table, plus the ops below.  (Division
 #: propagates too, but through its own triage branch — its only trap is a
 #: zero divisor, so each replica's divisor view is checked first; everything
 #: else that can trap or compute a control target demotes.)
-_PROPAGATE_HANDLERS = frozenset(
-    _fastpath._ALU_HANDLERS[base]
-    for base in (
-        "add", "addx", "sub", "subx", "and", "andn", "or", "orn",
-        "xor", "xnor", "sll", "srl", "sra", "umul", "smul",
-    )
+_PROPAGATE_HANDLERS = _table_handlers(
+    semantics.ALU_RESULTS, semantics.PRODUCTS
 ) | frozenset({_fastpath._h_sethi, _fastpath._h_call, _fastpath._h_rd,
                _fastpath._h_wr})
 
-_ICC_READERS = frozenset(
-    {_fastpath._ALU_HANDLERS["addx"], _fastpath._ALU_HANDLERS["subx"]}
-)
-_Y_READERS = frozenset(
-    {_fastpath._h_rd, _fastpath._ALU_HANDLERS["udiv"],
-     _fastpath._ALU_HANDLERS["sdiv"]}
-)
-_Y_WRITERS = frozenset(
-    {_fastpath._h_wr, _fastpath._ALU_HANDLERS["umul"],
-     _fastpath._ALU_HANDLERS["smul"]}
-)
-_DIV_HANDLERS = frozenset(
-    {_fastpath._ALU_HANDLERS["udiv"], _fastpath._ALU_HANDLERS["sdiv"]}
-)
+#: Rows that read the carry read the ICC; products write Y; quotients read Y
+#: and are the division handlers.
+_ICC_READERS = _table_handlers(semantics.CARRY_READERS)
+_DIV_HANDLERS = _table_handlers(semantics.QUOTIENTS)
+_Y_READERS = _DIV_HANDLERS | {_fastpath._h_rd}
+_Y_WRITERS = _table_handlers(semantics.PRODUCTS) | {_fastpath._h_wr}
+
 _WINDOW_HANDLERS = frozenset({_fastpath._h_save, _fastpath._h_restore})
 
 #: Demote a replica after this many touched instructions.  A replica whose

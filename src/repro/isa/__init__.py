@@ -9,8 +9,10 @@ RTL-style Leon3 model (:mod:`repro.leon3`):
   functional units they exercise (:mod:`repro.isa.instructions`),
 * a binary decoder (:mod:`repro.isa.decoder`),
 * a two-pass assembler (:mod:`repro.isa.assembler`),
-* the windowed register file (:mod:`repro.isa.registers`) and
-* integer condition-code helpers (:mod:`repro.isa.ccodes`).
+* the windowed register file (:mod:`repro.isa.registers`),
+* integer condition-code helpers (:mod:`repro.isa.ccodes`) and
+* the integer semantics table the fast engines generate their handlers
+  from (:mod:`repro.isa.semantics`).
 """
 
 from repro.isa.assembler import Assembler, AssemblyError, Program

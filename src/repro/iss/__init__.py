@@ -13,7 +13,7 @@ computed.
 
 from repro.iss.emulator import Emulator, ExecutionResult, SimulationError, TrapEvent
 from repro.iss.fastpath import FastEmulator, verify_bit_identity
-from repro.iss.faults import ArchitecturalFault, IssFaultInjector
+from repro.iss.faults import ArchitecturalFault, FaultyEmulator
 from repro.iss.memory import Memory, MemoryError_
 from repro.iss.timing import TimingModel, TimingReport
 from repro.iss.trace import ExecutionTrace, InstructionRecord
@@ -26,7 +26,7 @@ __all__ = [
     "SimulationError",
     "TrapEvent",
     "ArchitecturalFault",
-    "IssFaultInjector",
+    "FaultyEmulator",
     "Memory",
     "MemoryError_",
     "TimingModel",

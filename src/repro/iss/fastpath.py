@@ -26,9 +26,12 @@ exactly that overhead while staying **result-transparent**:
 
 * **Table dispatch** — semantics are precomputed per
   :class:`~repro.isa.instructions.InstructionDef`: one handler function per
-  opcode (keyed by :attr:`InstructionDef.alu_base` for the ALU), resolved
+  mnemonic (keyed by :attr:`InstructionDef.alu_base` for the ALU), resolved
   once at decode-cache fill time.  The hot loop is one dict lookup plus one
-  call — no mnemonic string comparisons.
+  call — no mnemonic string comparisons.  The ALU, multiply/divide and
+  single-word load/store handlers are generated at import from the
+  semantics table (:mod:`repro.isa.semantics`) whose formulas the block
+  compiler inlines too.
 
 * **Deferred accounting** — trace and latency accounting are additive and
   order-independent, so the hot loop keeps one per-mnemonic counter and
@@ -98,15 +101,10 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.isa.ccodes import (
-    ConditionCodes,
-    evaluate_condition,
-    icc_add,
-    icc_logic,
-    icc_sub,
-)
+from repro.isa import semantics
+from repro.isa.ccodes import ConditionCodes, evaluate_condition
 from repro.isa.decoder import DecodeError, Instruction, decode_cached
-from repro.isa.encoding import to_s32, to_u32
+from repro.isa.encoding import to_u32
 from repro.isa.instructions import INSTRUCTION_SET, InstructionCategory
 from repro.isa.registers import RegisterWindowError
 from repro.iss.emulator import (
@@ -116,11 +114,12 @@ from repro.iss.emulator import (
     SimulationError,
     TrapEvent,
 )
-from repro.iss.faults import ArchitecturalFault, _FaultyEmulator
+from repro.iss.faults import ArchitecturalFault, FaultyEmulator
 from repro.iss.memory import PAGE_SHIFT, Memory, MemoryError_
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 
 _U32 = 0xFFFFFFFF
+_MASK = semantics.MASK
 
 __all__ = [
     "FastEmulator",
@@ -202,13 +201,19 @@ def _written_registers(op: _CachedOp) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Semantics handlers.
 #
-# One function per opcode, signature ``handler(emu, op, pc, transactions)``.
-# Return value protocol (cheaper than the reference's dataclass outcome):
+# One function per mnemonic (per ``alu_base`` for the ALU), signature
+# ``handler(emu, op, pc, transactions)``.  Return value protocol (cheaper
+# than the reference's dataclass outcome):
 #   * ``None``                  — fall through to pc/npc advance,
 #   * ``(target, annul_slot)``  — delayed control transfer,
 #   * ``TrapEvent``             — halt the run.
-# Each body mirrors the reference ``Emulator._execute*`` semantics exactly —
-# including evaluation order where destination and source registers alias.
+# The ALU, multiply/divide and single-word load/store handlers are generated
+# from the semantics table (:mod:`repro.isa.semantics`) the block compiler
+# inlines too; control transfer, ``save``/``restore``, ``rd``/``wr``,
+# ``ticc`` and ``ldd``/``std`` are written out here.  Every handler mirrors
+# the reference ``Emulator._execute*`` semantics exactly — including
+# evaluation order where destination and source registers alias — and the
+# reference interpreter stays the specification they are tested against.
 # ---------------------------------------------------------------------------
 
 
@@ -274,210 +279,15 @@ def _h_wr(emu, op, pc, transactions):
     return None
 
 
-# -- ALU --------------------------------------------------------------------
-
-
-def _h_add(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = (op1 + op2) & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_add(op1, op2, result)
-    return None
-
-
-def _h_addx(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    carry = emu.icc.c
-    result = (op1 + op2 + carry) & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_add(op1, op2, result, carry_in=carry)
-    return None
-
-
-def _h_sub(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = (op1 - op2) & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_sub(op1, op2, result)
-    return None
-
-
-def _h_subx(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    carry = emu.icc.c
-    result = (op1 - op2 - carry) & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_sub(op1, op2, result, borrow_in=carry)
-    return None
-
-
-def _h_and(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = op1 & op2
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_andn(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = op1 & (~op2 & _U32)
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_or(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = op1 | op2
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_orn(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = op1 | (~op2 & _U32)
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_xor(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = op1 ^ op2
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_xnor(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    result = ~(op1 ^ op2) & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_sll(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    r.write(op.rd, (op1 << (op2 & 0x1F)) & _U32)
-    return None
-
-
-def _h_srl(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    r.write(op.rd, op1 >> (op2 & 0x1F))
-    return None
-
-
-def _h_sra(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    r.write(op.rd, (to_s32(op1) >> (op2 & 0x1F)) & _U32)
-    return None
-
-
-def _h_umul(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    product = op1 * op2
-    result = product & _U32
-    emu.y_register = (product >> 32) & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_smul(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    product = to_s32(op1) * to_s32(op2)
-    result = product & _U32
-    emu.y_register = (product >> 32) & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_udiv(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    if op2 == 0:
-        raise ZeroDivisionError
-    quotient = ((emu.y_register << 32) | op1) // op2
-    result = _U32 if quotient > _U32 else quotient
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
-def _h_sdiv(emu, op, pc, transactions):
-    r = emu.registers
-    op1 = r.read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else r.read(op.rs2)
-    if op2 == 0:
-        raise ZeroDivisionError
-    dividend_u = (emu.y_register << 32) | op1
-    dividend = dividend_u - (1 << 64) if dividend_u & (1 << 63) else dividend_u
-    divisor = to_s32(op2)
-    quotient = abs(dividend) // abs(divisor)
-    if (dividend < 0) != (divisor < 0):
-        quotient = -quotient
-    quotient = max(min(quotient, 0x7FFFFFFF), -0x80000000)
-    result = quotient & _U32
-    r.write(op.rd, result)
-    if op.sets_icc:
-        emu.icc = icc_logic(result)
-    return None
-
-
 def _h_unimplemented(emu, op, pc, transactions):
     raise SimulationError(f"no ALU semantics for {op.mnemonic}")
 
 
-# -- memory -----------------------------------------------------------------
+# -- generated handlers -----------------------------------------------------
+#
+# Each reads rs1 then operand 2, writes rd before it sets the condition
+# codes, and ``umul``/``smul`` write Y before rd, as the reference
+# ``Emulator`` does.
 
 
 def _address(emu, op):
@@ -494,56 +304,99 @@ def _invalidate_code_page(emu, page: int) -> None:
         blocks[cwp].pop(block_pc, None)
 
 
-def _h_ld(emu, op, pc, transactions):
+def _load_value(sign: int) -> str:
+    """Source for the loaded value of raw ``x``, sign-extended from bit
+    *sign* (0 for an unsigned load)."""
+    return f"(x - {sign << 1}) & {_MASK} if x & {sign} else x" if sign else "x"
+
+
+#: Single-word loads: (memory reader, size, sign bit or 0), by mnemonic.
+_LOADS = {
+    "ld": ("read_word", 4, 0),
+    "ldub": ("read_byte", 1, 0),
+    "lduh": ("read_half", 2, 0),
+    "ldsb": ("read_byte", 1, 0x80),
+    "ldsh": ("read_half", 2, 0x8000),
+}
+
+#: Single-word stores: (memory writer, size, data mask source), by mnemonic.
+_STORES = {
+    "st": ("write_word", 4, ""),
+    "stb": ("write_byte", 1, " & 0xFF"),
+    "sth": ("write_half", 2, " & 0xFFFF"),
+}
+
+_ARITHMETIC_SOURCE = """\
+def _h_{name}(emu, op, pc, transactions):
+    r = emu.registers
+    a = r.read(op.rs1)
+    b = op.imm_u32 if op.use_imm else r.read(op.rs2)
+    {compute}
+    r.write(op.rd, y)
+    if op.sets_icc:
+        {icc}
+        emu.icc = CC(y >> 31, 0 if y else 1, v, c)
+"""
+
+_LOAD_SOURCE = """\
+def _h_{name}(emu, op, pc, transactions):
     address = _address(emu, op)
     emu.timing.account_data_access(address, is_store=False)
-    value = emu.memory.read_word(address)
-    emu.registers.write(op.rd, value)
+    x = emu.memory.{reader}(address)
+    emu.registers.write(op.rd, {value})
     if address >= IO_BASE:
-        transactions.append(OffCoreTransaction("io", address, value, 4))
-    return None
+        transactions.append(OCT("io", address, x, {size}))
+"""
 
-
-def _h_ldub(emu, op, pc, transactions):
+_STORE_SOURCE = """\
+def _h_{name}(emu, op, pc, transactions):
     address = _address(emu, op)
-    emu.timing.account_data_access(address, is_store=False)
-    value = emu.memory.read_byte(address)
-    emu.registers.write(op.rd, value)
-    if address >= IO_BASE:
-        transactions.append(OffCoreTransaction("io", address, value, 1))
-    return None
+    emu.timing.account_data_access(address, is_store=True)
+    x = emu.registers.read(op.rd){mask}
+    emu.memory.{writer}(address, x)
+    if (address >> PAGE_SHIFT) in emu._code_pages:
+        _invalidate_code_page(emu, address >> PAGE_SHIFT)
+    transactions.append(OCT("io" if address >= IO_BASE else "store", address, x, {size}))
+"""
+
+_HANDLER_GLOBALS = {
+    "__name__": __name__,
+    "CC": ConditionCodes,
+    "OCT": OffCoreTransaction,
+    "IO_BASE": IO_BASE,
+    "PAGE_SHIFT": PAGE_SHIFT,
+    "_address": _address,
+    "_invalidate_code_page": _invalidate_code_page,
+}
+
+_ALU_HANDLERS: Dict[str, Callable] = semantics.compile_handlers(
+    _ARITHMETIC_SOURCE,
+    semantics.arithmetic_rows(carry="emu.icc.c", y_register="emu.y_register"),
+    _HANDLER_GLOBALS,
+)
+_h_addx, _h_subx, _h_umul, _h_smul, _h_udiv, _h_sdiv = (
+    _ALU_HANDLERS[base] for base in ("addx", "subx", "umul", "smul", "udiv", "sdiv")
+)
+
+_LOAD_HANDLERS: Dict[str, Callable] = semantics.compile_handlers(
+    _LOAD_SOURCE,
+    {
+        name: {"reader": reader, "size": size, "value": _load_value(sign)}
+        for name, (reader, size, sign) in _LOADS.items()
+    },
+    _HANDLER_GLOBALS,
+)
+_STORE_HANDLERS: Dict[str, Callable] = semantics.compile_handlers(
+    _STORE_SOURCE,
+    {
+        name: {"writer": writer, "size": size, "mask": mask}
+        for name, (writer, size, mask) in _STORES.items()
+    },
+    _HANDLER_GLOBALS,
+)
 
 
-def _h_lduh(emu, op, pc, transactions):
-    address = _address(emu, op)
-    emu.timing.account_data_access(address, is_store=False)
-    value = emu.memory.read_half(address)
-    emu.registers.write(op.rd, value)
-    if address >= IO_BASE:
-        transactions.append(OffCoreTransaction("io", address, value, 2))
-    return None
-
-
-def _h_ldsb(emu, op, pc, transactions):
-    address = _address(emu, op)
-    emu.timing.account_data_access(address, is_store=False)
-    raw = emu.memory.read_byte(address)
-    value = (raw - 0x100) & _U32 if raw & 0x80 else raw
-    emu.registers.write(op.rd, value)
-    if address >= IO_BASE:
-        transactions.append(OffCoreTransaction("io", address, raw, 1))
-    return None
-
-
-def _h_ldsh(emu, op, pc, transactions):
-    address = _address(emu, op)
-    emu.timing.account_data_access(address, is_store=False)
-    raw = emu.memory.read_half(address)
-    value = (raw - 0x10000) & _U32 if raw & 0x8000 else raw
-    emu.registers.write(op.rd, value)
-    if address >= IO_BASE:
-        transactions.append(OffCoreTransaction("io", address, raw, 2))
-    return None
+# -- double-word memory -----------------------------------------------------
 
 
 def _h_ldd(emu, op, pc, transactions):
@@ -556,42 +409,6 @@ def _h_ldd(emu, op, pc, transactions):
     r.write(rd_even | 1, low)
     if address >= IO_BASE:
         transactions.append(OffCoreTransaction("io", address, (high << 32) | low, 8))
-    return None
-
-
-def _h_st(emu, op, pc, transactions):
-    address = _address(emu, op)
-    emu.timing.account_data_access(address, is_store=True)
-    value = emu.registers.read(op.rd)
-    emu.memory.write_word(address, value)
-    if (address >> PAGE_SHIFT) in emu._code_pages:
-        _invalidate_code_page(emu, address >> PAGE_SHIFT)
-    kind = "io" if address >= IO_BASE else "store"
-    transactions.append(OffCoreTransaction(kind, address, value, 4))
-    return None
-
-
-def _h_stb(emu, op, pc, transactions):
-    address = _address(emu, op)
-    emu.timing.account_data_access(address, is_store=True)
-    value = emu.registers.read(op.rd) & 0xFF
-    emu.memory.write_byte(address, value)
-    if (address >> PAGE_SHIFT) in emu._code_pages:
-        _invalidate_code_page(emu, address >> PAGE_SHIFT)
-    kind = "io" if address >= IO_BASE else "store"
-    transactions.append(OffCoreTransaction(kind, address, value, 1))
-    return None
-
-
-def _h_sth(emu, op, pc, transactions):
-    address = _address(emu, op)
-    emu.timing.account_data_access(address, is_store=True)
-    value = emu.registers.read(op.rd) & 0xFFFF
-    emu.memory.write_half(address, value)
-    if (address >> PAGE_SHIFT) in emu._code_pages:
-        _invalidate_code_page(emu, address >> PAGE_SHIFT)
-    kind = "io" if address >= IO_BASE else "store"
-    transactions.append(OffCoreTransaction(kind, address, value, 2))
     return None
 
 
@@ -622,36 +439,10 @@ _SPECIAL_HANDLERS: Dict[str, Callable] = {
 }
 
 _MEMORY_HANDLERS: Dict[str, Callable] = {
-    "ld": _h_ld,
-    "ldub": _h_ldub,
-    "lduh": _h_lduh,
-    "ldsb": _h_ldsb,
-    "ldsh": _h_ldsh,
+    **_LOAD_HANDLERS,
+    **_STORE_HANDLERS,
     "ldd": _h_ldd,
-    "st": _h_st,
-    "stb": _h_stb,
-    "sth": _h_sth,
     "std": _h_std,
-}
-
-_ALU_HANDLERS: Dict[str, Callable] = {
-    "add": _h_add,
-    "addx": _h_addx,
-    "sub": _h_sub,
-    "subx": _h_subx,
-    "and": _h_and,
-    "andn": _h_andn,
-    "or": _h_or,
-    "orn": _h_orn,
-    "xor": _h_xor,
-    "xnor": _h_xnor,
-    "sll": _h_sll,
-    "srl": _h_srl,
-    "sra": _h_sra,
-    "umul": _h_umul,
-    "smul": _h_smul,
-    "udiv": _h_udiv,
-    "sdiv": _h_sdiv,
 }
 
 
@@ -691,8 +482,6 @@ _HANDLER_TABLE: Dict[str, Callable] = {
 #: Longest block, delay slot included.
 _BLOCK_CAP = 32
 
-_MASK = "0xFFFFFFFF"
-
 _CTI_HANDLERS = frozenset({_h_branch, _h_call, _h_jmpl})
 
 #: Handlers the block body calls instead of inlining.
@@ -700,54 +489,20 @@ _CALLED_HANDLERS = frozenset(
     {_h_umul, _h_smul, _h_udiv, _h_sdiv, _h_rd, _h_wr}
 )
 
-#: Bicc conditions 0..7 over the flag locals; 8..15 are their complements.
-_CONDITIONS = ("False", "z", "(z or n ^ v)", "(n ^ v)", "(c or z)", "c", "n", "v")
-
-_LOADS = {
-    _h_ld: ("read_word", 4, 0),
-    _h_ldub: ("read_byte", 1, 0),
-    _h_lduh: ("read_half", 2, 0),
-    _h_ldsb: ("read_byte", 1, 0x80),
-    _h_ldsh: ("read_half", 2, 0x8000),
-}
-
-_STORES = {
-    _h_st: ("write_word", 4, ""),
-    _h_stb: ("write_byte", 1, " & 0xFF"),
-    _h_sth: ("write_half", 2, " & 0xFFFF"),
-}
-
-#: Inlined ALU results over operands ``{a}``/``{b}``, keyed by handler.
+#: Inlined ALU results and ``cc`` V/C updates (:mod:`repro.isa.semantics`),
+#: keyed by handler.
 _ALU_RESULTS = {
-    _h_add: "({a} + {b}) & " + _MASK,
-    _h_addx: "({a} + {b} + c) & " + _MASK,
-    _h_sub: "({a} - {b}) & " + _MASK,
-    _h_subx: "({a} - {b} - c) & " + _MASK,
-    _h_and: "{a} & {b}",
-    _h_andn: "{a} & ({b} ^ " + _MASK + ")",
-    _h_or: "{a} | {b}",
-    _h_orn: "{a} | ({b} ^ " + _MASK + ")",
-    _h_xor: "{a} ^ {b}",
-    _h_xnor: "({a} ^ {b}) ^ " + _MASK,
-    _h_sll: "({a} << ({b} & 31)) & " + _MASK,
-    _h_srl: "{a} >> ({b} & 31)",
-    _h_sra: "((({a} ^ 0x80000000) - 0x80000000) >> ({b} & 31)) & " + _MASK,
+    _ALU_HANDLERS[base]: result for base, result in semantics.ALU_RESULTS.items()
 }
-
-#: V and C updates of the ``cc`` ALU forms, over operands a/b and result y
-#: (N and Z are common to all of them; the logical forms clear V and C).
 _ICC_UPDATES = {
-    _h_add: "v = ((a ^ y) & (b ^ y)) >> 31; c = (a + b) >> 32",
-    _h_addx: "v = ((a ^ y) & (b ^ y)) >> 31; c = (a + b + c) >> 32",
-    _h_sub: "v = ((a ^ b) & (a ^ y)) >> 31; c = 1 if b > a else 0",
-    _h_subx: "v = ((a ^ b) & (a ^ y)) >> 31; c = 1 if b + c > a else 0",
+    _ALU_HANDLERS[base]: update for base, update in semantics.ICC_UPDATES.items()
 }
 
 #: Every handler a block may contain.  Anything else — ``ticc``, an ALU op
 #: without semantics, a patched table entry — ends the block before it.
 _BLOCK_HANDLERS = (
-    _CTI_HANDLERS | _CALLED_HANDLERS | set(_LOADS) | set(_STORES)
-    | set(_ALU_RESULTS) | {_h_sethi, _h_save, _h_restore, _h_ldd, _h_std}
+    _CTI_HANDLERS | _CALLED_HANDLERS | set(_MEMORY_HANDLERS.values())
+    | set(_ALU_RESULTS) | {_h_sethi, _h_save, _h_restore}
 )
 
 #: The one globals dict every compiled block shares.
@@ -910,7 +665,7 @@ class _BlockCompiler:
                 return
             if op.annul:
                 self.touches_icc = True
-                condition = _CONDITIONS[cond & 7]
+                condition = semantics.CONDITIONS[cond & 7]
                 self.emit(f"if not {condition}:" if cond & 8 else f"if {condition}:")
                 self.indent += "    "
                 self._op(slot, at + 4, f"{target}", index + 1)
@@ -924,7 +679,7 @@ class _BlockCompiler:
                 npc = f"{at + 8}"
             else:
                 self.touches_icc = True
-                condition = _CONDITIONS[cond & 7]
+                condition = semantics.CONDITIONS[cond & 7]
                 if cond & 8:
                     condition = f"not {condition}"
                 self.emit(f"nn = {target} if {condition} else {at + 8}")
@@ -995,13 +750,10 @@ class _BlockCompiler:
         emit("if l in tl: tm.dcache_hits += 1")
         emit("else: tm.dcache_misses += 1; tl.add(l); "
              "tm.cycles += tm.miss_penalty")
-        if handler in _LOADS:
-            reader, size, sign = _LOADS[handler]
+        if op.mnemonic in _LOADS:
+            reader, size, sign = _LOADS[op.mnemonic]
             emit(f"x = mem.{reader}(a)")
-            if sign:
-                self.write(op.rd, f"(x - {sign << 1}) & {_MASK} if x & {sign} else x")
-            else:
-                self.write(op.rd, "x")
+            self.write(op.rd, _load_value(sign))
             emit(f"if a >= {IO_BASE}: tx.append(OCT('io', a, x, {size}))")
             return
         even = op.rd & ~1
@@ -1017,7 +769,7 @@ class _BlockCompiler:
             emit("tx.append(OCT('store', a, hi, 4)); "
                  "tx.append(OCT('store', a + 4, lo, 4))")
         else:
-            writer, size, mask = _STORES[handler]
+            writer, size, mask = _STORES[op.mnemonic]
             emit(f"x = {self.read(op.rd)}{mask}")
             emit(f"mem.{writer}(a, x)")
             emit(f"tx.append(OCT('io' if a >= {IO_BASE} else 'store', a, x, {size}))")
@@ -1248,7 +1000,7 @@ class FastEmulator(Emulator):
 
     Optionally applies an :class:`~repro.iss.faults.ArchitecturalFault`
     while running (pass ``fault=``), replicating
-    :class:`~repro.iss.faults._FaultyEmulator` exactly: a stuck-at is
+    :class:`~repro.iss.faults.FaultyEmulator` exactly: a stuck-at is
     applied to the register file before every executed (non-annulled)
     instruction (on the block path, where it can act — see the module
     docstring); a ``bit_flip`` fires once at its trigger index.
@@ -1768,7 +1520,7 @@ def verify_bit_identity(
     ``(reference, fast)`` result pair for further inspection.
     """
     if fault is not None:
-        reference_emulator: Emulator = _FaultyEmulator(
+        reference_emulator: Emulator = FaultyEmulator(
             fault, memory=Memory(), detailed_trace=detailed_trace
         )
     else:

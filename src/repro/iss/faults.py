@@ -20,11 +20,8 @@ Fault models supported on architectural state:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
-from repro.isa.assembler import Program
-from repro.iss.emulator import Emulator, ExecutionResult
-from repro.iss.memory import Memory
+from repro.iss.emulator import Emulator
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,13 @@ class ArchitecturalFault:
         return value ^ (1 << self.bit)
 
 
-class _FaultyEmulator(Emulator):
-    """Emulator specialisation that applies an architectural fault while running."""
+class FaultyEmulator(Emulator):
+    """Emulator specialisation that applies an architectural fault while running.
+
+    The ISS fault specification: :func:`repro.iss.fastpath.verify_bit_identity`
+    and ``IssBackend(fast=False)`` run it, and the fast path's fault handling
+    is tested against it.
+    """
 
     def __init__(self, fault: ArchitecturalFault, **kwargs):
         super().__init__(**kwargs)
@@ -85,55 +87,3 @@ class _FaultyEmulator(Emulator):
             self.registers.write(fault.register, fault.apply(original))
         self._executed += 1
         return super()._execute(instruction, pc, transactions)
-
-
-class IssFaultInjector:
-    """Run golden and faulty executions of a program at the ISS level."""
-
-    def __init__(self, program: Program, max_instructions: int = 2_000_000):
-        self.program = program
-        self.max_instructions = max_instructions
-        self._golden: Optional[ExecutionResult] = None
-
-    def golden_run(self) -> ExecutionResult:
-        """Execute the program without faults (cached)."""
-        if self._golden is None:
-            emulator = Emulator(memory=Memory())
-            emulator.load_program(self.program)
-            self._golden = emulator.run(max_instructions=self.max_instructions)
-        return self._golden
-
-    def run_with_fault(self, fault: ArchitecturalFault) -> ExecutionResult:
-        """Execute the program with *fault* active."""
-        emulator = _FaultyEmulator(fault, memory=Memory())
-        emulator.load_program(self.program)
-        return emulator.run(max_instructions=self.max_instructions)
-
-    def is_failure(self, faulty: ExecutionResult) -> bool:
-        """Compare the faulty off-core trace against the golden one."""
-        golden = self.golden_run()
-        if len(golden.transactions) != len(faulty.transactions):
-            return True
-        for expected, observed in zip(golden.transactions, faulty.transactions):
-            if not expected.matches(observed):
-                return True
-        if golden.normal_exit != faulty.normal_exit:
-            return True
-        return False
-
-    def campaign(self, faults: List[ArchitecturalFault]) -> dict:
-        """Run a list of faults and return summary statistics."""
-        failures = 0
-        outcomes = []
-        for fault in faults:
-            faulty = self.run_with_fault(fault)
-            failed = self.is_failure(faulty)
-            failures += int(failed)
-            outcomes.append((fault, failed))
-        total = len(faults)
-        return {
-            "total": total,
-            "failures": failures,
-            "failure_probability": failures / total if total else 0.0,
-            "outcomes": outcomes,
-        }

@@ -10,12 +10,13 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
 **result-transparent**, mirroring the ISS fast path's design:
 
 * **Flattened pipeline** — the per-cycle walk through the seven stage
-  functions is precompiled into one handler per instruction definition
-  (resolved once per decoded word, exactly like the ISS handler table).  A
-  handler performs the architectural work of all seven stages in one flat
-  function, preserving the reference's order of register-file and cache-array
-  accesses (which is observable under array faults through the open-line
-  "previous value" rule).
+  functions is precompiled into one handler per mnemonic (resolved once per
+  decoded word, exactly like the ISS handler table).  A handler performs the
+  architectural work of all seven stages in one flat function, preserving
+  the reference's order of register-file and cache-array accesses (which is
+  observable under array faults through the open-line "previous value"
+  rule).  The ALU and multiply/divide handlers are generated at import from
+  the semantics table the ISS fast path shares (:mod:`repro.isa.semantics`).
 
 * **Per-PC op cache** — each instruction word is decoded once per PC by
   the reference decode stage (the executable spec, so decode needs no second
@@ -120,20 +121,12 @@ import hashlib
 from array import array
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.isa.ccodes import (
-    ConditionCodes,
-    evaluate_condition,
-    icc_add,
-    icc_logic,
-    icc_sub,
-)
+from repro.isa import semantics
+from repro.isa.ccodes import ConditionCodes, evaluate_condition
 from repro.isa.decoder import DecodeError, decode_cached
-from repro.isa.encoding import to_s32, to_u32
+from repro.isa.encoding import to_u32
 from repro.isa.instructions import INSTRUCTION_SET, InstructionCategory
 from repro.isa.registers import NUM_GLOBALS, WINDOW_REGS, RegisterWindowError
-from repro.iss.fastpath import _ALU_RESULTS as _ISS_ALU_RESULTS
-from repro.iss.fastpath import _BLOCK_CAP, _CONDITIONS, _MASK
-from repro.iss.fastpath import _ICC_UPDATES as _ISS_ICC_UPDATES
 from repro.iss.memory import PAGE_SHIFT, Memory, MemoryError_
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 from repro.leon3.core import (
@@ -147,6 +140,7 @@ from repro.rtl.faults import CellReads, FaultModel, PermanentFault, TransientFau
 from repro.rtl.sites import FaultSite
 
 _U32 = 0xFFFFFFFF
+_MASK = semantics.MASK
 
 #: End of a permanent fault's activity window, for the block guards.
 _FOREVER = 1 << 62
@@ -390,15 +384,19 @@ _OP_MEMO: Dict[Tuple[int, int, int], _FastOp] = {}
 # ---------------------------------------------------------------------------
 # Handlers.
 #
-# One flat function per opcode, signature ``handler(core, op)``.  Return value
-# protocol:
+# One flat function per mnemonic (per ``alu_base`` for the ALU), signature
+# ``handler(core, op)``.  Return value protocol:
 #   * ``None``              — fall through to the sequential pc/npc advance,
 #   * ``(target, annul)``   — delayed control transfer,
 #   * ``int``               — exit code of the ``ta 0`` convention.
 # Traps raise (IuTrap / RegisterWindowError / MemoryError_ /
 # ZeroDivisionError), mirroring the exception set the reference run loop
-# catches.  Each body preserves the reference pipeline's order of
-# register-file and cache-array accesses — observable under array faults.
+# catches.  The ALU and multiply/divide handlers are generated from the
+# semantics table (:mod:`repro.isa.semantics`) the block compiler inlines
+# too; the rest are written out here.  Each preserves the reference
+# pipeline's order of register-file and cache-array accesses — observable
+# under array faults — and the reference core stays the specification they
+# are tested against.
 # ---------------------------------------------------------------------------
 
 
@@ -482,189 +480,35 @@ def _h_wr(core, op):
     return None
 
 
-# -- ALU --------------------------------------------------------------------
-
-
-def _h_add(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = (op1 + op2) & _U32
-    if op.sets_icc:
-        core.icc = icc_add(op1, op2, result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_addx(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    carry = core.icc.c
-    result = (op1 + op2 + carry) & _U32
-    if op.sets_icc:
-        core.icc = icc_add(op1, op2, result, carry_in=carry)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_sub(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = (op1 - op2) & _U32
-    if op.sets_icc:
-        core.icc = icc_sub(op1, op2, result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_subx(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    borrow = core.icc.c
-    result = (op1 - op2 - borrow) & _U32
-    if op.sets_icc:
-        core.icc = icc_sub(op1, op2, result, borrow_in=borrow)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_and(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = op1 & op2
-    if op.sets_icc:
-        core.icc = icc_logic(result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_andn(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = op1 & (~op2 & _U32)
-    if op.sets_icc:
-        core.icc = icc_logic(result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_or(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = op1 | op2
-    if op.sets_icc:
-        core.icc = icc_logic(result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_orn(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = op1 | (~op2 & _U32)
-    if op.sets_icc:
-        core.icc = icc_logic(result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_xor(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = op1 ^ op2
-    if op.sets_icc:
-        core.icc = icc_logic(result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_xnor(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    result = ~(op1 ^ op2) & _U32
-    if op.sets_icc:
-        core.icc = icc_logic(result)
-    core._rf_write(op.rd, result)
-    return None
-
-
-def _h_sll(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    core._rf_write(op.rd, (op1 << (op2 & 0x1F)) & _U32)
-    return None
-
-
-def _h_srl(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    core._rf_write(op.rd, op1 >> (op2 & 0x1F))
-    return None
-
-
-def _h_sra(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    core._rf_write(op.rd, (to_s32(op1) >> (op2 & 0x1F)) & _U32)
-    return None
-
-
-def _h_umul(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    product = op1 * op2
-    low = product & _U32
-    core.y = (product >> 32) & _U32
-    if op.sets_icc:
-        core.icc = icc_logic(low)
-    core._rf_write(op.rd, low)
-    return None
-
-
-def _h_smul(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    product = to_s32(op1) * to_s32(op2)
-    low = product & _U32
-    core.y = (product >> 32) & _U32
-    if op.sets_icc:
-        core.icc = icc_logic(low)
-    core._rf_write(op.rd, low)
-    return None
-
-
-def _h_udiv(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    if op2 == 0:
-        raise ZeroDivisionError
-    quotient = min(((core.y << 32) | op1) // op2, 0xFFFFFFFF)
-    if op.sets_icc:
-        core.icc = icc_logic(quotient)
-    core._rf_write(op.rd, quotient)
-    return None
-
-
-def _h_sdiv(core, op):
-    op1 = core._rf_read(op.rs1)
-    op2 = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
-    if op2 == 0:
-        raise ZeroDivisionError
-    dividend_u = (core.y << 32) | op1
-    dividend = dividend_u - (1 << 64) if dividend_u & (1 << 63) else dividend_u
-    divisor = to_s32(op2)
-    quotient = abs(dividend) // abs(divisor)
-    if (dividend < 0) != (divisor < 0):
-        quotient = -quotient
-    quotient = max(min(quotient, 0x7FFFFFFF), -0x80000000)
-    result = quotient & _U32
-    if op.sets_icc:
-        core.icc = icc_logic(result)
-    core._rf_write(op.rd, result)
-    return None
-
-
 def _h_unimplemented(core, op):
     raise IuTrap("illegal_instruction", f"no semantics for {op.mnemonic}")
+
+
+# -- generated handlers -----------------------------------------------------
+#
+# Each reads rs1 then operand 2, sets the condition codes before its
+# register write, and ``umul``/``smul`` write Y first, as the reference
+# pipeline does (register access, execute, write-back).
+
+_ARITHMETIC_SOURCE = """\
+def _h_{name}(core, op):
+    a = core._rf_read(op.rs1)
+    b = op.imm_u32 if op.use_imm else core._rf_read(op.rs2)
+    {compute}
+    if op.sets_icc:
+        {icc}
+        core.icc = CC(y >> 31, 0 if y else 1, v, c)
+    core._rf_write(op.rd, y)
+"""
+
+_ALU_HANDLERS: Dict[str, Callable] = semantics.compile_handlers(
+    _ARITHMETIC_SOURCE,
+    semantics.arithmetic_rows(carry="core.icc.c", y_register="core.y"),
+    {"__name__": __name__, "CC": ConditionCodes},
+)
+_h_addx, _h_subx, _h_udiv, _h_sdiv = (
+    _ALU_HANDLERS[base] for base in ("addx", "subx", "udiv", "sdiv")
+)
 
 
 # -- memory -----------------------------------------------------------------
@@ -760,27 +604,6 @@ _SPECIAL_HANDLERS: Dict[str, Callable] = {
     "wr": _h_wr,
 }
 
-_ALU_HANDLERS: Dict[str, Callable] = {
-    "add": _h_add,
-    "addx": _h_addx,
-    "sub": _h_sub,
-    "subx": _h_subx,
-    "and": _h_and,
-    "andn": _h_andn,
-    "or": _h_or,
-    "orn": _h_orn,
-    "xor": _h_xor,
-    "xnor": _h_xnor,
-    "sll": _h_sll,
-    "srl": _h_srl,
-    "sra": _h_sra,
-    "umul": _h_umul,
-    "smul": _h_smul,
-    "udiv": _h_udiv,
-    "sdiv": _h_sdiv,
-}
-
-
 def _handler_for(defn) -> Callable:
     if defn.category is InstructionCategory.BRANCH:
         return _h_branch
@@ -848,17 +671,21 @@ _WORD_NETS = frozenset(
 # trapping instruction's fetch), and a miss takes one back.
 # ---------------------------------------------------------------------------
 
+#: Longest block, delay slot included.
+_BLOCK_CAP = 32
+
 _CTI_HANDLERS = frozenset({_h_branch, _h_call, _h_jmpl})
 
-#: The ISS block compiler's ALU formulas over ``{a}``/``{b}`` and its ``cc``
-#: updates, keyed here by this module's handler of the same name.
+#: Inlined ALU results, ``cc`` V/C updates and 64-bit products
+#: (:mod:`repro.isa.semantics`), keyed by handler.
 _ALU_RESULTS = {
-    _ALU_HANDLERS[handler.__name__[3:]]: source
-    for handler, source in _ISS_ALU_RESULTS.items()
+    _ALU_HANDLERS[base]: result for base, result in semantics.ALU_RESULTS.items()
 }
 _ICC_UPDATES = {
-    _ALU_HANDLERS[handler.__name__[3:]]: source
-    for handler, source in _ISS_ICC_UPDATES.items()
+    _ALU_HANDLERS[base]: update for base, update in semantics.ICC_UPDATES.items()
+}
+_PRODUCTS = {
+    _ALU_HANDLERS[base]: product for base, product in semantics.PRODUCTS.items()
 }
 
 #: Handlers the block body calls instead of inlining (they may raise).
@@ -875,7 +702,7 @@ _RAISING_HANDLERS = (
 #: without semantics — ends the block before it.
 _BLOCK_HANDLERS = (
     _CTI_HANDLERS | _CALLED_HANDLERS | _MEMORY_HANDLERS | set(_ALU_RESULTS)
-    | {_h_umul, _h_smul, _h_sethi, _h_save, _h_restore, _h_rd, _h_wr}
+    | set(_PRODUCTS) | {_h_sethi, _h_save, _h_restore, _h_rd, _h_wr}
 )
 
 #: The one globals dict every compiled block shares.
@@ -1175,7 +1002,7 @@ class _RtlBlockCompiler:
                 return
             if op.annul:
                 self.touches_icc = True
-                condition = _CONDITIONS[cond & 7]
+                condition = semantics.CONDITIONS[cond & 7]
                 self.emit(f"if not {condition}:" if cond & 8 else f"if {condition}:")
                 self.indent += "    "
                 lat, cwp = self.lat, self.cwp
@@ -1191,7 +1018,7 @@ class _RtlBlockCompiler:
                 npc = f"{at + 8}"
             else:
                 self.touches_icc = True
-                condition = _CONDITIONS[cond & 7]
+                condition = semantics.CONDITIONS[cond & 7]
                 if cond & 8:
                     condition = f"not {condition}"
                 self.emit(f"nn = {target} if {condition} else {at + 8}")
@@ -1255,12 +1082,8 @@ class _RtlBlockCompiler:
             emit("n = y >> 31; z = 0 if y else 1; "
                  + _ICC_UPDATES.get(handler, "v = 0; c = 0"))
             self.write(op.rd, "y")
-        elif handler is _h_umul or handler is _h_smul:
-            if handler is _h_umul:
-                emit(f"p = {first} * {second}")
-            else:
-                emit(f"p = (({first} ^ 0x80000000) - 0x80000000) * "
-                     f"(({second} ^ 0x80000000) - 0x80000000)")
+        elif handler in _PRODUCTS:
+            emit(f"p = {_PRODUCTS[handler].format(a=first, b=second)}")
             emit(f"y = p & {_MASK}; core.y = (p >> 32) & {_MASK}")
             if op.sets_icc:
                 emit("n = y >> 31; z = 0 if y else 1; v = 0; c = 0")

@@ -418,12 +418,12 @@ class TestSelection:
     def test_reused_faulty_emulators_stay_identical_after_reset(self):
         # reset() restarts the experiment on both interpreters: the transient
         # flip re-arms, and the second run matches bit for bit.
-        from repro.iss.faults import _FaultyEmulator
+        from repro.iss.faults import FaultyEmulator
 
         program = build_program("rspeed")
         fault = ArchitecturalFault(register=9, bit=5, model="bit_flip",
                                    trigger_index=40)
-        reference = _FaultyEmulator(fault, memory=Memory())
+        reference = FaultyEmulator(fault, memory=Memory())
         fast = FastEmulator(memory=Memory(), fault=fault)
         for emulator in (reference, fast):
             emulator.load_program(program)
@@ -795,7 +795,7 @@ STUCK_AT_BITS = (0, 1, 2, 3, 5, 8, 13, 31)
 @pytest.mark.parametrize("name", sorted(all_workloads()))
 def test_stuck_at_sweep_matches_the_reference(name):
     """Every register (``%g0`` included) x both stuck-at models against the
-    reference :class:`_FaultyEmulator`: same result, same final state."""
+    reference :class:`FaultyEmulator`: same result, same final state."""
     program = build_program(name)
     offset = sorted(all_workloads()).index(name)
     for register in range(32):

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.engine.lockstep as lockstep
+import repro.iss.fastpath as fastpath
 from repro.engine.backend import IssBackend, Leon3RtlBackend, watchdog_budget
 from repro.engine.campaign import CampaignConfig, CampaignEngine
 from repro.engine.checkpoint import (
@@ -190,6 +192,24 @@ def test_sweep_covered_every_resolution_path():
         "propagations",
     ):
         assert SWEEP_STATS[path] > 0, f"sweep never took the {path} path"
+
+
+def test_handler_sets_come_from_the_semantics_table():
+    """The effect sets lockstep derives from the semantics table's families
+    are exactly the ones it listed by mnemonic before."""
+    alu = fastpath._ALU_HANDLERS
+
+    def handlers(*bases):
+        return frozenset(alu[base] for base in bases)
+
+    assert lockstep._PROPAGATE_HANDLERS == handlers(
+        "add", "addx", "sub", "subx", "and", "andn", "or", "orn",
+        "xor", "xnor", "sll", "srl", "sra", "umul", "smul",
+    ) | {fastpath._h_sethi, fastpath._h_call, fastpath._h_rd, fastpath._h_wr}
+    assert lockstep._ICC_READERS == handlers("addx", "subx")
+    assert lockstep._Y_READERS == handlers("udiv", "sdiv") | {fastpath._h_rd}
+    assert lockstep._Y_WRITERS == handlers("umul", "smul") | {fastpath._h_wr}
+    assert lockstep._DIV_HANDLERS == handlers("udiv", "sdiv")
 
 
 class TestWidthOne:
