@@ -25,7 +25,7 @@ from repro.core.diversity import characterize_program
 from repro.core.experiments import figure7_correlation
 from repro.core.failure_model import DiversityFailureModel
 from repro.core.report import render_correlation
-from repro.faultinjection.campaign import run_iu_campaign
+from repro.engine import CampaignConfig, CampaignEngine, Leon3RtlBackend
 from repro.rtl.faults import FaultModel
 from repro.workloads import build_program
 
@@ -61,10 +61,12 @@ def main() -> None:
           f"(diversity {holdout_characterization.diversity}, measured on the ISS only)")
     print(f"  predicted Pf from the calibrated diversity model : {predicted * 100:.1f}%")
 
-    campaign = run_iu_campaign(
-        holdout_program, sample_size=args.sites, fault_models=[FaultModel.STUCK_AT_1],
+    config = CampaignConfig(
+        sample_size=args.sites, fault_models=[FaultModel.STUCK_AT_1],
         seed=args.seed, n_workers=args.workers,
-    )[FaultModel.STUCK_AT_1]
+    )
+    engine = CampaignEngine(holdout_program, config, backend_factory=Leon3RtlBackend)
+    campaign = engine.run()[FaultModel.STUCK_AT_1]
     print(f"  measured Pf from an RTL campaign                  : "
           f"{campaign.failure_probability * 100:.1f}%")
     error = abs(predicted - campaign.failure_probability)

@@ -9,10 +9,11 @@ its core contract on the spot:
 2. inject one transient storage-cell upset the naive way (from reset) and
    through **fork-from-checkpoint**, and verify the two runs are identical
    on every observable,
-3. run a small SEU campaign (`repro.faultinjection.run_transient_campaign`)
-   with the **early-convergence exit** on, on both the RTL and the ISS
-   backend, and compare their failure pictures — the paper's ISS-vs-RTL
-   argument, extended to transients,
+3. run a small SEU campaign (`repro.engine.CampaignEngine` with
+   ``CampaignConfig(transient_windows=...)``) with the **early-convergence
+   exit** on, on both the RTL and the ISS backend, and compare their
+   failure pictures — the paper's ISS-vs-RTL argument, extended to
+   transients,
 4. show the same campaign as a durable store entry (resume/cache-hit
    machinery works for transient campaigns too).
 
@@ -23,14 +24,28 @@ import os
 import tempfile
 import time
 
-from repro.engine import Leon3RtlBackend, watchdog_budget
+from repro.engine import (
+    CampaignConfig,
+    CampaignEngine,
+    IssBackend,
+    Leon3RtlBackend,
+    watchdog_budget,
+)
+from repro.engine.backend import ARCH_REGFILE_UNIT
 from repro.engine.checkpoint import assert_run_results_identical
-from repro.faultinjection import run_transient_campaign
-from repro.rtl.faults import TransientFault
+from repro.leon3.units import IU_SCOPE
+from repro.rtl.faults import FaultModel, TransientFault
 from repro.store import CampaignStore
 from repro.workloads import build_program
 
 WORKLOAD = "rspeed"
+
+
+def transient_campaign(program, backend_factory=Leon3RtlBackend, **config):
+    """One SEU campaign: 30 storage sites x 3 start times per site."""
+    config = CampaignConfig(sample_size=30, transient_windows=3, seed=2015, **config)
+    engine = CampaignEngine(program, config, backend_factory=backend_factory)
+    return engine.run()[FaultModel.TRANSIENT]
 
 
 def main() -> None:
@@ -68,10 +83,13 @@ def main() -> None:
     # --- 3. A small SEU campaign on both backends --------------------------
     print("\nSEU campaign: 30 storage sites x 3 start times (8-cycle windows), "
           "both backends")
-    for kind in ("rtl", "iss"):
-        result = run_transient_campaign(
-            program, sample_size=30, windows=3, duration=8, seed=2015,
-            backend=kind,
+    backends = {
+        "rtl": (Leon3RtlBackend, IU_SCOPE),
+        "iss": (IssBackend, ARCH_REGFILE_UNIT),
+    }
+    for kind, (factory, scope) in backends.items():
+        result = transient_campaign(
+            program, factory, unit_scope=scope, transient_duration=8
         )
         histogram = {
             failure_class.value: count
@@ -85,12 +103,8 @@ def main() -> None:
     # --- 4. The campaign as a durable store entry --------------------------
     with tempfile.TemporaryDirectory() as tmp:
         store_path = os.path.join(tmp, "campaigns.sqlite")
-        run_transient_campaign(
-            program, sample_size=30, windows=3, seed=2015, store_path=store_path
-        )
-        repeat = run_transient_campaign(
-            program, sample_size=30, windows=3, seed=2015, store_path=store_path
-        )
+        transient_campaign(program, store_path=store_path)
+        repeat = transient_campaign(program, store_path=store_path)
         with CampaignStore(store_path) as store:
             counters = store.counters()
         assert counters["campaign_hits"] == 1, counters

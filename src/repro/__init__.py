@@ -15,10 +15,11 @@ The package provides:
   small RTL-style simulation substrate with per-bit fault sites.
 * :mod:`repro.engine` — the campaign execution engine: a uniform
   :class:`ExecutionBackend` API over both simulators, picklable injection
-  jobs, and pluggable serial/multiprocessing schedulers with per-worker
-  golden-run caching.
-* :mod:`repro.faultinjection` — permanent-fault (stuck-at-0/1, open-line)
-  injection campaigns with off-core-boundary failure detection.
+  jobs, pluggable serial/multiprocessing schedulers with per-worker
+  golden-run caching, and :class:`CampaignEngine`, the one entry point for
+  every fault-injection campaign.
+* :mod:`repro.faultinjection` — off-core-boundary failure detection and the
+  per-fault-model campaign results.
 * :mod:`repro.workloads` — EEMBC-AutoBench-like automotive kernels and
   synthetic benchmarks written in SPARC assembly.
 * :mod:`repro.core` — the paper's contribution: the instruction-diversity

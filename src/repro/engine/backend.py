@@ -130,8 +130,7 @@ class Leon3RtlBackend:
     ``tests/test_fastcore.py`` enforces it — so the flag is
     result-transparent: it changes throughput only, and both settings share
     one campaign-store identity (see
-    :func:`repro.store.keys.backend_identity`).  Passing an explicit *core*
-    pins the backend to that instance and ignores ``fast``.
+    :func:`repro.store.keys.backend_identity`).
 
     **Open-line collapsing on nets.**  An open line on a net holds the bit it
     latched when the fault appeared, and every run injects its faults just
@@ -164,22 +163,11 @@ class Leon3RtlBackend:
     #: Time unit of TransientFault windows on this backend (netlist cycles).
     transient_unit = "cycles"
 
-    def __init__(
-        self,
-        core: Optional[Leon3Core] = None,
-        *,
-        fast: bool = True,
-        **core_kwargs: Any,
-    ) -> None:
-        if core is not None:
-            self.core = core
-        elif fast:
-            self.core = Leon3FastCore(**core_kwargs)
-        else:
-            self.core = Leon3Core(**core_kwargs)
-        # Reflects the engine actually in use (an explicit core overrides
-        # the flag), so diagnostics can trust backend.fast.
-        self.fast = isinstance(self.core, Leon3FastCore)
+    def __init__(self, *, fast: bool = True, **core_kwargs: Any) -> None:
+        self.core: Union[Leon3FastCore, Leon3Core] = (
+            Leon3FastCore(**core_kwargs) if fast else Leon3Core(**core_kwargs)
+        )
+        self.fast = fast
         self._program: Optional[Program] = None
         self._reset_latched: Dict[str, int] = {}
         self._collapsed: Dict[Tuple[FaultSite, FaultModel, int], RunResult] = {}

@@ -16,15 +16,19 @@ Schedulers are required to be result-transparent: for the same plan, every
 scheduler yields bit-identical ``Pf`` breakdowns (the test suite enforces
 serial == multiprocessing).
 
-Campaigns can additionally be made **durable** through the
-:mod:`repro.store` subsystem: with a :class:`~repro.store.CampaignStore`
-(``run(store=...)``, or ``CampaignConfig.store_path``) every finished outcome
-is committed in chunks under the campaign's content-addressed key, an
-interrupted campaign resumes from its last committed outcome, and a repeated
-campaign is a pure cache hit that executes zero new injections.  Stored and
-freshly executed outcomes are merged through an ordered reorder buffer, so a
-resumed campaign aggregates in exactly the same order as an uninterrupted one
-(bit-identical results, enforced by ``tests/test_store.py``).
+:class:`CampaignEngine` is the one entry point for every campaign: the
+figure drivers, the ``repro`` CLI, the examples and paperbench all build one
+from a :class:`CampaignConfig` and a backend factory.  It has one execution
+path, which the :mod:`repro.store` subsystem can make **durable**: with a
+:class:`~repro.store.CampaignStore` (``run(store=...)``, or
+``CampaignConfig.store_path``) every finished outcome is committed in chunks
+under the campaign's content-addressed key, an interrupted campaign resumes
+from its last committed outcome, and a repeated campaign is a pure cache hit
+that executes zero new injections.  Stored and freshly executed outcomes are
+merged through an ordered reorder buffer, so a resumed campaign aggregates in
+exactly the same order as an uninterrupted one (bit-identical results,
+enforced by ``tests/test_store.py``); a store-less run folds through the same
+buffer and opens no database.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ from repro.obs.events import EventLog
 from repro.obs.telemetry import TELEMETRY, Span
 
 if TYPE_CHECKING:
-    from repro.store import CampaignStore
+    from repro.store import CampaignSession, CampaignStore
 
 #: Progress callback: (completed jobs, total jobs, outcome just finished).
 ProgressCallback = Callable[[int, int, InjectionOutcome], None]
@@ -266,9 +270,6 @@ class CampaignConfig:
         """True when this configuration plans a transient campaign."""
         return self.transient_windows is not None
 
-    def scopes(self) -> List[str]:
-        return [self.unit_scope]
-
 
 class CampaignEngine:
     """Plans and executes fault-injection campaigns on any backend."""
@@ -427,7 +428,7 @@ class CampaignEngine:
         """
         if self._sites is None:
             universe = self.backend.sites
-            scope = self.config.scopes()
+            scope = [self.config.unit_scope]
             storage_only = self.config.transient
             if self.config.sample_size is None:
                 self._sites = list(
@@ -506,19 +507,25 @@ class CampaignEngine:
         self,
         fault_models: Optional[Sequence[FaultModel]] = None,
         sites: Optional[Sequence[FaultSite]] = None,
+        jobs: Optional[Sequence[CampaignJob]] = None,
     ) -> CampaignPlan:
-        """Build the executable plan: golden run + site sample + job list."""
+        """Build the executable plan: golden run + site sample + job list.
+
+        *jobs* restricts the plan to a subset of the canonical job list (a
+        shard's slice, or the jobs a store has not served yet).
+        """
         golden = self.golden_run()
         models = self._models(fault_models)
         site_list = list(sites) if sites is not None else self.select_sites()
-        jobs = self._plan_job_list(models, site_list)
+        if jobs is None:
+            jobs = self._plan_job_list(models, site_list)
         return CampaignPlan(
             program=self.program,
             backend_factory=self.backend_factory,
             unit_scope=self.config.unit_scope,
             fault_models=models,
             sites=site_list,
-            jobs=jobs,
+            jobs=list(jobs),
             max_instructions=self.config.max_instructions,
             backend=self.backend,
             golden=golden,
@@ -533,7 +540,7 @@ class CampaignEngine:
     def store_key(self) -> str:
         """The content key this campaign is (or would be) stored under.
 
-        Derived exactly as the durable path derives it, including the
+        Derived exactly as a run with a store derives it, including the
         transient window sample for transient campaigns (which
         deterministically runs the golden to plan it).
         """
@@ -585,7 +592,7 @@ class CampaignEngine:
         With ``config.telemetry`` (the default) the run collects structured
         metrics into the process-local registry of :mod:`repro.obs` — reset
         at entry, so after the call the registry holds exactly this run's
-        metrics — and the durable path persists them as the campaign's run
+        metrics — and a run with a store persists them as the campaign's run
         manifest.
 
         Jobs execute on the engine's ``scheduler`` when it has one, else on
@@ -604,13 +611,7 @@ class CampaignEngine:
             with self._scheduler_scope() as scheduler, TELEMETRY.span(
                 "campaign.run"
             ) as span:
-                if store is None:
-                    return self._run_direct(
-                        scheduler, fault_models, sites, progress, span
-                    )
-                return self._run_stored(
-                    scheduler, store, fault_models, sites, progress, span
-                )
+                return self._run(scheduler, store, fault_models, sites, progress, span)
         finally:
             if owns_store:
                 store.close()
@@ -642,123 +643,85 @@ class CampaignEngine:
                     events.close()
                 TELEMETRY.events = EventLog(self.config.trace_path)
 
-    def _run_direct(
+    def _run(
         self,
         scheduler: Scheduler,
+        store: Optional["CampaignStore"],
         fault_models: Optional[Sequence[FaultModel]],
         sites: Optional[Sequence[FaultSite]],
         progress: Optional[ProgressCallback],
         span: Span,
     ) -> Dict[FaultModel, CampaignResult]:
-        """The store-less path: plan, schedule, aggregate in stream order."""
-        plan = self.plan(fault_models=fault_models, sites=sites)
-        # Sharding is a pure slice of the canonical plan (shards=1, the
-        # default, selects the whole plan), applied after planning so every
-        # shard derives its slice from the identical full job list.
-        plan.jobs = select_shard(
-            plan.jobs, self.config.shards, self.config.shard_index
-        )
-        TELEMETRY.inc("campaign.jobs_planned", plan.total_jobs)
-        TELEMETRY.inc("campaign.jobs_executed", plan.total_jobs)
-        golden = plan.golden
-        results = self._make_results(
-            plan.fault_models,
-            golden.instructions,
-            golden.cycles,
-            len(golden.transactions),
-        )
+        """Serve committed outcomes (with a *store*), execute the rest, and
+        fold every record in job-index order.
 
-        done = 0
-
-        def on_outcome(record: OutcomeRecord) -> None:
-            nonlocal done
-            done += 1
-            outcome = record.to_outcome()
-            results[record.job.fault_model].outcomes.append(outcome)
-            if progress is not None:
-                progress(done, plan.total_jobs, outcome)
-
-        # Schedulers deliver outcomes in plan order (serial trivially; the
-        # pool via ordered imap), so the streamed appends above are already
-        # the canonical per-model result lists.
-        records = scheduler.execute(plan, on_outcome)
-        self._attribute_seconds(results, records, records, span)
-        return results
-
-    def _run_stored(
-        self,
-        scheduler: Scheduler,
-        store: "CampaignStore",
-        fault_models: Optional[Sequence[FaultModel]],
-        sites: Optional[Sequence[FaultSite]],
-        progress: Optional[ProgressCallback],
-        span: Span,
-    ) -> Dict[FaultModel, CampaignResult]:
-        """The durable path: serve committed outcomes, execute only the rest.
-
-        Stored and fresh records meet in a reorder buffer that folds them in
-        job-index order, so the aggregated results are bit-identical to a
-        single uninterrupted run whatever the commit pattern was.
+        Stored and fresh records meet in a reorder buffer, so the aggregated
+        results are bit-identical to a single uninterrupted run whatever the
+        commit pattern was.  Without a store nothing is served, committed or
+        persisted, and no SQLite database is opened.
         """
         config = self.config
         models = self._models(fault_models)
         site_list = list(sites) if sites is not None else self.select_sites()
         jobs = self._plan_job_list(models, site_list)
         # The shard's slice of the canonical plan (shards=1 selects all of
-        # it).  The campaign row — key, config, total_jobs — always describes
-        # the *full* plan: a shard is not a new campaign, it commits its
-        # slice under the parent identity with the parent job indices, so the
-        # store stays 'running' until merge (or co-located shard runs)
-        # assembles every slice.
+        # it), taken after planning so every shard derives its slice from the
+        # identical full job list.
         my_jobs = select_shard(jobs, config.shards, config.shard_index)
-        session = store.begin_campaign(
-            program=self.program,
-            sites=site_list,
-            fault_models=models,
-            seed=config.seed,
-            unit_scope=config.unit_scope,
-            sample_size=config.sample_size,
-            max_instructions=config.max_instructions,
-            backend_name=self.backend.name,
-            backend_factory=self.backend_factory,
-            total_jobs=len(jobs),
-            transient_jobs=(
-                cast(List[TransientJob], jobs) if config.transient else None
-            ),
-            transient_config=self._transient_meta() if config.transient else None,
-        )
-        if config.shards > 1:
-            lo, hi = shard_slice(len(jobs), config.shards, config.shard_index)
-            session.record_shard(
-                shard_count=config.shards,
-                shard_index=config.shard_index,
-                token=shard_token(session.key, config.shards, config.shard_index),
-                job_lo=lo,
-                job_hi=hi,
+        session: Optional["CampaignSession"] = None
+        stored: List[OutcomeRecord] = []
+        if store is not None:
+            # The campaign row — key, config, total_jobs — always describes
+            # the *full* plan: a shard is not a new campaign, it commits its
+            # slice under the parent identity with the parent job indices,
+            # so the store stays 'running' until merge (or co-located shard
+            # runs) assembles every slice.
+            session = store.begin_campaign(
+                program=self.program,
+                sites=site_list,
+                fault_models=models,
+                seed=config.seed,
+                unit_scope=config.unit_scope,
+                sample_size=config.sample_size,
+                max_instructions=config.max_instructions,
+                backend_name=self.backend.name,
+                backend_factory=self.backend_factory,
+                total_jobs=len(jobs),
+                transient_jobs=(
+                    cast(List[TransientJob], jobs) if config.transient else None
+                ),
+                transient_config=self._transient_meta() if config.transient else None,
             )
-        if not config.resume:
-            session.reset()
-        shard_indices = {job.index for job in my_jobs}
-        stored = (
-            [
-                record
-                for record in session.stored_records()
-                if record.job.index in shard_indices
-            ]
-            if config.resume
-            else []
-        )
+            if config.shards > 1:
+                lo, hi = shard_slice(len(jobs), config.shards, config.shard_index)
+                session.record_shard(
+                    shard_count=config.shards,
+                    shard_index=config.shard_index,
+                    token=shard_token(session.key, config.shards, config.shard_index),
+                    job_lo=lo,
+                    job_hi=hi,
+                )
+            if config.resume:
+                shard_indices = {job.index for job in my_jobs}
+                stored = [
+                    record
+                    for record in session.stored_records()
+                    if record.job.index in shard_indices
+                ]
+            else:
+                session.reset()
+            TELEMETRY.inc("campaign.jobs_memoized", len(stored))
         done_indices = {record.job.index for record in stored}
         remaining = [job for job in my_jobs if job.index not in done_indices]
         TELEMETRY.inc("campaign.jobs_planned", len(my_jobs))
-        TELEMETRY.inc("campaign.jobs_memoized", len(stored))
         TELEMETRY.inc("campaign.jobs_executed", len(remaining))
-        TELEMETRY.inc("store.cache_hits", len(stored))
-        TELEMETRY.inc("store.cache_misses", len(remaining))
+        if session is not None:
+            TELEMETRY.inc("store.cache_hits", len(stored))
+            TELEMETRY.inc("store.cache_misses", len(remaining))
 
         # A full cache hit is served without touching the golden run: the
         # reference stats were persisted when the campaign first executed.
-        golden_stats = session.golden_stats()
+        golden_stats = session.golden_stats() if session is not None else None
         if remaining or golden_stats is None:
             golden = self.golden_run()
             golden_stats = {
@@ -766,14 +729,15 @@ class CampaignEngine:
                 "cycles": golden.cycles,
                 "transactions": len(golden.transactions),
             }
-            session.record_golden(**golden_stats)
+            if session is not None:
+                session.record_golden(**golden_stats)
         results = self._make_results(
             models,
             golden_stats["instructions"],
             golden_stats["cycles"],
             golden_stats["transactions"],
         )
-        if stored and not remaining:
+        if session is not None and stored and not remaining:
             session.register_hit()
 
         # Reorder buffer: fold records strictly in job-index order (the
@@ -782,91 +746,66 @@ class CampaignEngine:
         # is tracked through the shard's expected index list — which is
         # simply 0..len(jobs)-1 when unsharded — so a shard whose indices
         # start mid-plan folds exactly like a full campaign.
-        done = 0
         expected = [job.index for job in my_jobs]
         cursor = 0
         pending: Dict[int, OutcomeRecord] = {}
-
-        def fold(record: OutcomeRecord) -> None:
-            nonlocal done
-            done += 1
-            outcome = record.to_outcome()
-            results[record.job.fault_model].outcomes.append(outcome)
-            if progress is not None:
-                progress(done, len(my_jobs), outcome)
 
         def push(record: OutcomeRecord) -> None:
             nonlocal cursor
             pending[record.job.index] = record
             while cursor < len(expected) and expected[cursor] in pending:
-                fold(pending.pop(expected[cursor]))
+                folded = pending.pop(expected[cursor])
                 cursor += 1
+                outcome = folded.to_outcome()
+                results[folded.job.fault_model].outcomes.append(outcome)
+                if progress is not None:
+                    progress(cursor, len(expected), outcome)
 
-        all_records: List[OutcomeRecord] = list(stored)
+        fresh: List[OutcomeRecord] = []
         commit_buffer: List[OutcomeRecord] = []
-        executed = 0
 
         def on_outcome(record: OutcomeRecord) -> None:
-            nonlocal executed
             # Buffer for commit before surfacing the record: an exception
             # from the progress callback (the canonical interrupt) reaches
             # the finally-flush below with this record already buffered, so
             # no finished work is lost.  A hard kill (SIGKILL, power loss)
             # can still lose up to one uncommitted chunk.
-            commit_buffer.append(record)
-            all_records.append(record)
-            if len(commit_buffer) >= STORE_COMMIT_CHUNK:
-                session.commit(commit_buffer)
-                executed += len(commit_buffer)
-                commit_buffer.clear()
+            fresh.append(record)
+            if session is not None:
+                commit_buffer.append(record)
+                if len(commit_buffer) >= STORE_COMMIT_CHUNK:
+                    session.commit(commit_buffer)
+                    commit_buffer.clear()
             push(record)
 
         try:
             for record in stored:
                 push(record)
             if remaining:
-                subplan = CampaignPlan(
-                    program=self.program,
-                    backend_factory=self.backend_factory,
-                    unit_scope=config.unit_scope,
-                    fault_models=models,
-                    sites=site_list,
-                    jobs=remaining,
-                    max_instructions=config.max_instructions,
-                    backend=self.backend,
-                    golden=self.golden_run(),
-                    checkpoint_interval=config.checkpoint_interval,
-                    early_exit=config.early_exit,
-                    runner=self._runner,
-                    lockstep_width=config.lockstep_width,
-                    screen=self._screen,
-                    timelines=self._timelines,
-                )
-                scheduler.execute(subplan, on_outcome)
+                plan = self.plan(fault_models, sites, jobs=remaining)
+                scheduler.execute(plan, on_outcome)
         finally:
-            if commit_buffer:
-                session.commit(commit_buffer)
-                executed += len(commit_buffer)
-                commit_buffer.clear()
-            store.bump("jobs_executed", executed)
-            store.bump("jobs_cached", len(stored))
+            if session is not None:
+                if commit_buffer:
+                    session.commit(commit_buffer)
+                session.store.bump("jobs_executed", len(fresh))
+                session.store.bump("jobs_cached", len(stored))
 
-        if cursor == len(expected):
+        if session is not None and cursor == len(expected):
             # This run's slice is done; the campaign itself completes only
             # when the store holds every planned outcome (immediately for an
             # unsharded run, at merge time — or on the last co-located shard
             # — for a sharded one).
             session.mark_complete_if_done()
-        fresh = all_records[len(stored):]
-        self._attribute_seconds(results, all_records, fresh, span)
-        if config.telemetry:
+        self._attribute_seconds(results, stored + fresh, fresh, span)
+        if session is not None and config.telemetry:
             session.put_manifest(self._build_manifest(span))
         return results
 
     def _build_manifest(self, span: Span) -> Dict[str, Any]:
         """This run's manifest: merged metrics + environment + wall clock.
 
-        Persisted by the durable path as a result-transparent artifact
+        Persisted by a run with a store as a result-transparent artifact
         (``repro campaign metrics`` reads it back); the metrics snapshot is
         taken after every worker delta has been merged in.
         """

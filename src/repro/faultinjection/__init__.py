@@ -1,4 +1,4 @@
-"""Permanent-fault injection campaigns on the structural Leon3 model.
+"""Failure classification and campaign results.
 
 The campaign flow mirrors the paper's RTL methodology (Figure 2):
 
@@ -12,50 +12,20 @@ The campaign flow mirrors the paper's RTL methodology (Figure 2):
    trap, hang) and aggregate the percentage of faults that propagate to
    failures — the ``Pf`` reported in Figures 3-7.
 
-Beyond the paper's permanent models, :func:`run_transient_campaign` opens
-SEU-style transient campaigns (storage-cell upsets inside a sampled time
-window) executed through the checkpointed runtime of
-:mod:`repro.engine.checkpoint` — the same flow, orders of magnitude more
-injections per CPU hour.
+:class:`repro.engine.CampaignEngine` runs that flow, for the paper's
+permanent models and for SEU-style transient campaigns
+(``CampaignConfig.transient_windows``); this package holds its two leaf
+pieces: the comparison of a faulty run against the golden one
+(:mod:`~repro.faultinjection.comparison`) and the per-model results
+(:mod:`~repro.faultinjection.results`).
 """
 
 from repro.faultinjection.comparison import FailureClass, compare_runs
 from repro.faultinjection.results import CampaignResult, InjectionOutcome
 
-#: Campaign/injector symbols are re-exported lazily: those modules sit *above*
-#: the engine layer, while the engine itself imports the leaf modules
-#: (``comparison``, ``results``) from this package — eager imports here would
-#: close an import cycle.
-_LAZY_EXPORTS = {
-    "CampaignConfig": "repro.faultinjection.campaign",
-    "FaultInjectionCampaign": "repro.faultinjection.campaign",
-    "FaultInjector": "repro.faultinjection.injector",
-    "run_iu_campaign": "repro.faultinjection.campaign",
-    "run_cmem_campaign": "repro.faultinjection.campaign",
-    "run_iss_campaign": "repro.faultinjection.campaign",
-    "run_transient_campaign": "repro.faultinjection.campaign",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
-    "CampaignConfig",
-    "FaultInjectionCampaign",
     "FailureClass",
     "compare_runs",
-    "FaultInjector",
     "CampaignResult",
     "InjectionOutcome",
-    "run_iu_campaign",
-    "run_cmem_campaign",
-    "run_iss_campaign",
-    "run_transient_campaign",
 ]

@@ -243,13 +243,6 @@ def _progress_printer(
     return progress
 
 
-def _key_for(
-    engine: CampaignEngine, config: CampaignConfig, program: Program
-) -> str:
-    """The content key this engine's campaign will be stored under."""
-    return engine.store_key()
-
-
 def _run_engine(
     store: CampaignStore,
     config: CampaignConfig,
@@ -268,7 +261,7 @@ def _run_engine(
     # checkpoint ladder, which should happen inside run() where telemetry is
     # live (the derivation is deterministic, so the key is the same either
     # way — run() stored the campaign under exactly this key).
-    key = _key_for(engine, config, program)
+    key = engine.store_key()
     after = store.counters()
     executed = after["jobs_executed"] - before["jobs_executed"]
     cached = after["jobs_cached"] - before["jobs_cached"]
@@ -378,7 +371,7 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
         # exact program (and site sample) the key was derived from.
         factory = BACKEND_FACTORIES[backend]
         engine = CampaignEngine(program, config, backend_factory=factory)
-        rebuilt_key = _key_for(engine, config, program)
+        rebuilt_key = engine.store_key()
         if rebuilt_key != info.key:
             raise CliError(
                 f"campaign {info.key[:12]} cannot be rebuilt from workload "

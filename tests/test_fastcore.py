@@ -19,7 +19,6 @@ from conftest import SMALL_PROGRAM_SOURCE
 
 from repro.engine import CampaignConfig, CampaignEngine, Leon3RtlBackend
 from repro.engine.backend import watchdog_budget
-from repro.faultinjection.campaign import run_iu_campaign
 from repro.isa.assembler import assemble
 from repro.leon3.core import Leon3Core
 from repro.leon3.fastcore import (
@@ -1272,11 +1271,6 @@ class TestSelection:
         assert isinstance(Leon3RtlBackend().core, Leon3FastCore)
         assert isinstance(Leon3RtlBackend(fast=False).core, Leon3Core)
 
-    def test_explicit_core_pins_the_backend(self):
-        core = Leon3Core()
-        backend = Leon3RtlBackend(core=core)
-        assert backend.core is core
-
     def test_backend_runs_identical_under_fault(self):
         program = assemble(SMALL_PROGRAM_SOURCE, name="small")
         results = {}
@@ -1343,13 +1337,18 @@ class TestSelection:
                 functools.partial(Leon3RtlBackend, fast=True, core=Leon3FastCore()),
             )
 
-    def test_run_iu_campaign_fast_matches_reference(self):
+    def test_iu_campaign_fast_matches_reference(self):
         program = build_program("intbench")
-        shared = {
-            "sample_size": 5, "fault_models": [FaultModel.STUCK_AT_1], "seed": 11,
-        }
-        fast = run_iu_campaign(program, fast=True, **shared)
-        reference = run_iu_campaign(program, fast=False, **shared)
+
+        def campaign(fast):
+            config = CampaignConfig(
+                sample_size=5, fault_models=[FaultModel.STUCK_AT_1], seed=11,
+                rtl_fast=fast,
+            )
+            return CampaignEngine(program, config).run()
+
+        fast = campaign(True)
+        reference = campaign(False)
         for model in fast:
             assert fast[model].outcomes == reference[model].outcomes
             assert (

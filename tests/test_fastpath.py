@@ -15,7 +15,6 @@ from conftest import SMALL_PROGRAM_SOURCE
 import repro.iss.fastpath as fastpath
 from repro.engine import CampaignConfig, CampaignEngine, IssBackend
 from repro.engine.backend import ARCH_REGFILE_UNIT
-from repro.faultinjection.campaign import run_iss_campaign
 from repro.isa import encoding
 from repro.isa.assembler import assemble
 from repro.isa.encoding import OP_ARITH
@@ -436,13 +435,18 @@ class TestSelection:
         )
         assert reference._flip_done and fast._flip_done
 
-    def test_run_iss_campaign_fast_matches_reference(self):
+    def test_iss_campaign_fast_matches_reference(self):
         program = build_program("rspeed")
-        shared = {
-            "sample_size": 6, "fault_models": [FaultModel.STUCK_AT_1], "seed": 11,
-        }
-        fast = run_iss_campaign(program, fast=True, **shared)
-        reference = run_iss_campaign(program, fast=False, **shared)
+
+        def campaign(fast):
+            config = CampaignConfig(
+                unit_scope=ARCH_REGFILE_UNIT, sample_size=6,
+                fault_models=[FaultModel.STUCK_AT_1], seed=11, iss_fast=fast,
+            )
+            return CampaignEngine(program, config, backend_factory=IssBackend).run()
+
+        fast = campaign(True)
+        reference = campaign(False)
         for model in fast:
             assert fast[model].outcomes == reference[model].outcomes
             assert (

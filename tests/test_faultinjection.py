@@ -4,19 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faultinjection.campaign import (
-    CampaignConfig,
-    FaultInjectionCampaign,
-    run_cmem_campaign,
-    run_iu_campaign,
-)
+from repro.engine import CampaignConfig, CampaignEngine, watchdog_budget
 from repro.faultinjection.comparison import (
     FailureClass,
     _first_divergence,
     compare_runs,
 )
-from repro.faultinjection.injector import FaultInjector
-from repro.faultinjection.models import faults_for_sites
 from repro.faultinjection.results import CampaignResult, InjectionOutcome
 from repro.isa.assembler import assemble
 from repro.isa.instructions import FunctionalUnit
@@ -281,36 +274,41 @@ def small_program_module():
     return assemble(SMALL_PROGRAM_SOURCE, name="small")
 
 
-class TestInjector:
+class TestGoldenAndFaultyRuns:
     def test_golden_run_cached_and_normal(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        golden = injector.golden_run()
+        engine = CampaignEngine(small_program_module)
+        golden = engine.golden_run()
         assert golden.normal_exit
-        assert injector.golden_run() is golden
+        assert engine.golden_run() is golden
 
     def test_faulty_budget_exceeds_golden(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        assert injector.faulty_budget() > injector.golden_run().instructions
+        golden = CampaignEngine(small_program_module).golden_run()
+        assert watchdog_budget(golden.instructions) > golden.instructions
 
     def test_run_with_fault_restores_state_for_next_run(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        golden = injector.golden_run()
-        site = injector.core.netlist.site_for("alu.adder.sum", 0)
-        injector.run_with_fault(PermanentFault(site, FaultModel.STUCK_AT_1))
+        engine = CampaignEngine(small_program_module)
+        golden = engine.golden_run()
+        backend = engine.backend
+        budget = watchdog_budget(golden.instructions)
+        site = backend.core.netlist.site_for("alu.adder.sum", 0)
+        backend.run(budget, faults=[PermanentFault(site, FaultModel.STUCK_AT_1)])
         # A subsequent clean faulty run with a harmless fault must match golden.
-        harmless_site = injector.core.netlist.site_for("alu.div.quotient", 0)
-        clean = injector.run_with_fault(PermanentFault(harmless_site, FaultModel.STUCK_AT_1))
+        harmless_site = backend.core.netlist.site_for("alu.div.quotient", 0)
+        clean = backend.run(
+            budget, faults=[PermanentFault(harmless_site, FaultModel.STUCK_AT_1)]
+        )
         assert len(clean.transactions) == len(golden.transactions)
         assert all(a.matches(b) for a, b in zip(golden.transactions, clean.transactions))
 
     def test_multi_fault_injection_supported(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        sites = [
-            injector.core.netlist.site_for("alu.adder.sum", 0),
-            injector.core.netlist.site_for("alu.adder.sum", 1),
+        engine = CampaignEngine(small_program_module)
+        netlist = engine.backend.core.netlist
+        faults = [
+            PermanentFault(netlist.site_for("alu.adder.sum", bit), FaultModel.STUCK_AT_1)
+            for bit in (0, 1)
         ]
-        faults = faults_for_sites(sites, FaultModel.STUCK_AT_1)
-        result = injector.run_with_faults(faults)
+        budget = watchdog_budget(engine.golden_run().instructions)
+        result = engine.backend.run(budget, faults=faults)
         assert result.instructions > 0
 
 
@@ -319,8 +317,7 @@ class TestCampaign:
         config = CampaignConfig(
             unit_scope="iu", sample_size=12, fault_models=[FaultModel.STUCK_AT_1], seed=1
         )
-        campaign = FaultInjectionCampaign(small_program_module, config)
-        results = campaign.run()
+        results = CampaignEngine(small_program_module, config).run()
         result = results[FaultModel.STUCK_AT_1]
         assert result.injections == 12
         assert 0.0 <= result.failure_probability <= 1.0
@@ -334,26 +331,26 @@ class TestCampaign:
             fault_models=[FaultModel.STUCK_AT_1, FaultModel.STUCK_AT_0],
             seed=3,
         )
-        results = FaultInjectionCampaign(small_program_module, config).run()
+        results = CampaignEngine(small_program_module, config).run()
         sites_sa1 = [o.fault.site for o in results[FaultModel.STUCK_AT_1].outcomes]
         sites_sa0 = [o.fault.site for o in results[FaultModel.STUCK_AT_0].outcomes]
         assert sites_sa1 == sites_sa0
 
     def test_sampling_is_reproducible(self, small_program_module):
         config = CampaignConfig(unit_scope="iu", sample_size=8, seed=9)
-        first = FaultInjectionCampaign(small_program_module, config).select_sites()
-        second = FaultInjectionCampaign(small_program_module, config).select_sites()
+        first = CampaignEngine(small_program_module, config).select_sites()
+        second = CampaignEngine(small_program_module, config).select_sites()
         assert first == second
 
     def test_scope_restricts_sites(self, small_program_module):
         config = CampaignConfig(unit_scope="cmem", sample_size=10, seed=2)
-        campaign = FaultInjectionCampaign(small_program_module, config)
-        assert all(site.unit.startswith("cmem") for site in campaign.select_sites())
+        engine = CampaignEngine(small_program_module, config)
+        assert all(site.unit.startswith("cmem") for site in engine.select_sites())
 
-    def test_convenience_wrappers(self, small_program_module):
-        iu = run_iu_campaign(small_program_module, sample_size=5,
-                             fault_models=[FaultModel.STUCK_AT_1])
-        cmem = run_cmem_campaign(small_program_module, sample_size=5,
-                                 fault_models=[FaultModel.STUCK_AT_1])
-        assert iu[FaultModel.STUCK_AT_1].unit_scope == "iu"
-        assert cmem[FaultModel.STUCK_AT_1].unit_scope == "cmem"
+    @pytest.mark.parametrize("scope", ["iu", "cmem"])
+    def test_results_carry_the_unit_scope(self, small_program_module, scope):
+        config = CampaignConfig(
+            unit_scope=scope, sample_size=5, fault_models=[FaultModel.STUCK_AT_1]
+        )
+        results = CampaignEngine(small_program_module, config).run()
+        assert results[FaultModel.STUCK_AT_1].unit_scope == scope

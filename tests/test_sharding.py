@@ -437,23 +437,37 @@ FILE_STORE_CAMPAIGNS = {
 @pytest.mark.parametrize("kind", sorted(FILE_STORE_CAMPAIGNS))
 def test_file_store_serial_pool_and_shards_agree(small_program, tmp_path, kind):
     """One campaign, every golden-bearing execution strategy: store-less,
-    cold on a file store, a ``resume=False`` process-pool rerun on that
-    store, a rerun with explicit rung spacing, and a 3-shard merge all give
-    the same outcomes (and the merge the same report bytes)."""
+    store-less 3-shard slices, cold on a file store, a ``resume=False``
+    process-pool rerun on that store, a rerun with explicit rung spacing,
+    and a 3-shard merge all give the same outcomes (and the merge the same
+    report bytes); the store-less and cold-store runs report the same
+    progress stream."""
     params, factory = FILE_STORE_CAMPAIGNS[kind]
     config = CampaignConfig(seed=11, **params)
 
-    def run(**overrides):
+    def run(progress=None, **overrides):
         return CampaignEngine(
             small_program,
             dataclasses.replace(config, **overrides),
             backend_factory=factory,
-        ).run()
+        ).run(progress=progress)
 
-    direct = run()
-    flattened = [o for model in direct for o in direct[model].outcomes]
+    def flatten(results):
+        return [o for model in results for o in results[model].outcomes]
+
+    direct_progress, cold_progress = [], []
+    direct = run(lambda done, total, _: direct_progress.append((done, total)))
+    flattened = flatten(direct)
+    sliced = []
+    for index in range(3):
+        sliced += flatten(run(shards=3, shard_index=index))
+    assert sliced == flattened
     store_path = str(tmp_path / "campaigns.sqlite")
-    run(store_path=store_path)
+    run(
+        lambda done, total, _: cold_progress.append((done, total)),
+        store_path=store_path,
+    )
+    assert cold_progress == direct_progress
     key, cold = _outcomes(store_path)
     assert cold == flattened
     report = _report_json(store_path)
