@@ -52,11 +52,14 @@ def _first_divergence(
 ) -> Optional[int]:
     """Index of the first position where the two streams differ, else None.
 
-    Spliced golden prefixes and tails share the golden's transaction
-    objects, so an identical object skips the field comparison.
+    Transactions are tuples, so both tests run in C, and identical objects
+    (spliced golden prefixes and tails share the golden's) compare without
+    looking at their fields.
     """
+    if golden == faulty:
+        return None
     for index, (expected, observed) in enumerate(zip(golden, faulty)):
-        if expected is not observed and not expected.matches(observed):
+        if expected != observed:
             return index
     if len(golden) != len(faulty):
         return min(len(golden), len(faulty))

@@ -27,11 +27,13 @@ exactly that overhead while staying **result-transparent**:
 * **Table dispatch** — semantics are precomputed per
   :class:`~repro.isa.instructions.InstructionDef`: one handler function per
   mnemonic (keyed by :attr:`InstructionDef.alu_base` for the ALU), resolved
-  once at decode-cache fill time.  The hot loop is one dict lookup plus one
-  call — no mnemonic string comparisons.  The ALU, multiply/divide and
-  single-word load/store handlers are generated at import from the
-  semantics table (:mod:`repro.isa.semantics`) whose formulas the block
-  compiler inlines too.
+  once at decode-cache fill time.  The per-instruction loop is one dict
+  lookup plus one call — no mnemonic string comparisons.  The ALU,
+  multiply/divide and single-word load/store handlers are generated at
+  import from the semantics table (:mod:`repro.isa.semantics`).  Handlers
+  serve the per-instruction loop and the lockstep runtime only: the block
+  compiler inlines every row of the same table, so no compiled block calls
+  one.
 
 * **Deferred accounting** — trace and latency accounting are additive and
   order-independent, so the hot loop keeps one per-mnemonic counter and
@@ -52,9 +54,15 @@ exactly that overhead while staying **result-transparent**:
   translation (``save``/``restore`` still call the register file, so window
   overflow and underflow raise as before); the condition codes live in
   locals and are written back at every exit; data-cache line accounting is
-  inlined; ``umul``/``smul``/``udiv``/``sdiv``/``rd``/``wr`` call their
-  handlers.  Each exit returns how many of the block's instructions ran, and
-  the run adds that prefix's mnemonic histogram once per distinct exit.
+  inlined.  Products and quotients inline the rows of
+  :func:`~repro.isa.semantics.arithmetic_rows` (a zero divisor raises from
+  ``//`` before any write), ``rd``/``wr`` read and write ``emu.y_register``,
+  and aligned loads and stores of an allocated page index
+  ``Memory._pages`` directly; misaligned accesses and absent pages call the
+  :class:`~repro.iss.memory.Memory` method, for its trap text, zero reads
+  and page allocation.  Transactions are built with ``tuple.__new__``.
+  Each exit returns how many of the block's instructions ran, and the run
+  adds that prefix's mnemonic histogram once per distinct exit.
 
   *Entry conditions:* ``run`` enters a block only when the trace is not
   detailed, no ``bit_flip`` is armed, no annul is pending, ``npc == pc + 4``
@@ -115,7 +123,14 @@ from repro.iss.emulator import (
     TrapEvent,
 )
 from repro.iss.faults import ArchitecturalFault, FaultyEmulator
-from repro.iss.memory import PAGE_SHIFT, Memory, MemoryError_
+from repro.iss.memory import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    Memory,
+    MemoryError_,
+    page_read_source,
+    page_write_source,
+)
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 
 _U32 = 0xFFFFFFFF
@@ -374,9 +389,7 @@ _ALU_HANDLERS: Dict[str, Callable] = semantics.compile_handlers(
     semantics.arithmetic_rows(carry="emu.icc.c", y_register="emu.y_register"),
     _HANDLER_GLOBALS,
 )
-_h_addx, _h_subx, _h_umul, _h_smul, _h_udiv, _h_sdiv = (
-    _ALU_HANDLERS[base] for base in ("addx", "subx", "umul", "smul", "udiv", "sdiv")
-)
+_h_addx, _h_subx = _ALU_HANDLERS["addx"], _ALU_HANDLERS["subx"]
 
 _LOAD_HANDLERS: Dict[str, Callable] = semantics.compile_handlers(
     _LOAD_SOURCE,
@@ -484,11 +497,6 @@ _BLOCK_CAP = 32
 
 _CTI_HANDLERS = frozenset({_h_branch, _h_call, _h_jmpl})
 
-#: Handlers the block body calls instead of inlining.
-_CALLED_HANDLERS = frozenset(
-    {_h_umul, _h_smul, _h_udiv, _h_sdiv, _h_rd, _h_wr}
-)
-
 #: Inlined ALU results and ``cc`` V/C updates (:mod:`repro.isa.semantics`),
 #: keyed by handler.
 _ALU_RESULTS = {
@@ -498,19 +506,31 @@ _ICC_UPDATES = {
     _ALU_HANDLERS[base]: update for base, update in semantics.ICC_UPDATES.items()
 }
 
+#: Inlined product and quotient rows (``compute`` and ``icc`` statements over
+#: the locals a/b, the block's carry ``c`` and Y), keyed by handler.
+_WIDE_ROWS = {
+    _ALU_HANDLERS[base]: row
+    for base, row in semantics.arithmetic_rows(
+        carry="c", y_register="emu.y_register").items()
+    if base in semantics.PRODUCTS or base in semantics.QUOTIENTS
+}
+_QUOTIENT_HANDLERS = frozenset(_ALU_HANDLERS[base] for base in semantics.QUOTIENTS)
+
 #: Every handler a block may contain.  Anything else — ``ticc``, an ALU op
 #: without semantics, a patched table entry — ends the block before it.
 _BLOCK_HANDLERS = (
-    _CTI_HANDLERS | _CALLED_HANDLERS | set(_MEMORY_HANDLERS.values())
-    | set(_ALU_RESULTS) | {_h_sethi, _h_save, _h_restore}
+    _CTI_HANDLERS | set(_MEMORY_HANDLERS.values()) | set(_ALU_RESULTS)
+    | set(_WIDE_ROWS) | {_h_sethi, _h_save, _h_restore, _h_rd, _h_wr}
 )
 
-#: The one globals dict every compiled block shares.
+#: The one globals dict every compiled block shares.  ``new(OCT, fields)``
+#: builds a transaction without the Python-level tuple constructor.
 _BLOCK_GLOBALS: Dict[str, object] = {
     "CC": ConditionCodes,
     "OCT": OffCoreTransaction,
+    "new": tuple.__new__,
+    "fb": int.from_bytes,
     "invalidate": _invalidate_code_page,
-    **{handler.__name__: handler for handler in _CALLED_HANDLERS},
 }
 
 
@@ -578,8 +598,7 @@ class _BlockCompiler:
         self.registers = registers
         self.cwp = registers.cwp
         self.lines: List[str] = []
-        self.indent = "            "
-        self.constants: List[_CachedOp] = []
+        self.indent = "        "
         self.writes_icc = any(op.sets_icc for op in ops)
         self.touches_icc = self.writes_icc
         self.raises = False
@@ -702,14 +721,20 @@ class _BlockCompiler:
             self.write(op.rd, f"{op.value}")
         elif handler in _ALU_RESULTS:
             self._alu(op)
-        elif handler in _CALLED_HANDLERS:
-            if handler is _h_udiv or handler is _h_sdiv:
+        elif handler in _WIDE_ROWS:
+            # A zero divisor raises from ``//`` before any write.
+            if handler in _QUOTIENT_HANDLERS:
                 self.may_raise(at, npc)
-            name = f"O{len(self.constants)}"
-            self.constants.append(op)
-            emit(f"{handler.__name__}(emu, {name}, {at}, tx)")
+            row = _WIDE_ROWS[handler]
+            emit(f"a = {self.read(op.rs1)}; b = {self.operand2(op)}; "
+                 f"{row['compute']}")
             if op.sets_icc:
-                emit("ic = emu.icc; n = ic.n; z = ic.z; v = ic.v; c = ic.c")
+                emit(f"n = y >> 31; z = 0 if y else 1; {row['icc']}")
+            self.write(op.rd, "y")
+        elif handler is _h_rd:
+            self.write(op.rd, "emu.y_register")
+        elif handler is _h_wr:
+            emit(f"emu.y_register = {self.read(op.rs1)} ^ {self.operand2(op)}")
         elif handler is _h_save or handler is _h_restore:
             self.may_raise(at, npc)
             self.shift_at.append(index)
@@ -752,27 +777,35 @@ class _BlockCompiler:
              "tm.cycles += tm.miss_penalty")
         if op.mnemonic in _LOADS:
             reader, size, sign = _LOADS[op.mnemonic]
-            emit(f"x = mem.{reader}(a)")
+            self._page_access(size, f"x = mem.{reader}(a)",
+                              f"x = {page_read_source(size)}")
             self.write(op.rd, _load_value(sign))
-            emit(f"if a >= {IO_BASE}: tx.append(OCT('io', a, x, {size}))")
+            emit(f"if a >= {IO_BASE}: tx.append(new(OCT, ('io', a, x, {size})))")
             return
         even = op.rd & ~1
         if handler is _h_ldd:
-            emit("hi, lo = mem.read_double(a)")
+            self._page_access(8, "hi, lo = mem.read_double(a)",
+                              f"hi = {page_read_source(4)}; "
+                              f"lo = {page_read_source(4, 'o + 4')}")
             self.write(even, "hi")
             self.write(even | 1, "lo")
-            emit(f"if a >= {IO_BASE}: tx.append(OCT('io', a, (hi << 32) | lo, 8))")
+            emit(f"if a >= {IO_BASE}: "
+                 "tx.append(new(OCT, ('io', a, (hi << 32) | lo, 8)))")
             return
         if handler is _h_std:
             emit(f"hi = {self.read(even)}; lo = {self.read(even | 1)}")
-            emit("mem.write_double(a, hi, lo)")
-            emit("tx.append(OCT('store', a, hi, 4)); "
-                 "tx.append(OCT('store', a + 4, lo, 4))")
+            self._page_access(8, "mem.write_double(a, hi, lo)",
+                              f"{page_write_source(4, 'hi')}; "
+                              f"{page_write_source(4, 'lo', 'o + 4')}")
+            emit("tx.append(new(OCT, ('store', a, hi, 4))); "
+                 "tx.append(new(OCT, ('store', a + 4, lo, 4)))")
         else:
             writer, size, mask = _STORES[op.mnemonic]
             emit(f"x = {self.read(op.rd)}{mask}")
-            emit(f"mem.{writer}(a, x)")
-            emit(f"tx.append(OCT('io' if a >= {IO_BASE} else 'store', a, x, {size}))")
+            self._page_access(size, f"mem.{writer}(a, x)",
+                              page_write_source(size, "x"))
+            emit(f"tx.append(new(OCT, ('io' if a >= {IO_BASE} else 'store', "
+                 f"a, x, {size})))")
         # A store into a code page drops that page's decodes and blocks —
         # possibly this one — so the block ends right after it.
         self.uses.add("cp")
@@ -781,6 +814,18 @@ class _BlockCompiler:
         emit(f"invalidate(emu, a >> {PAGE_SHIFT})")
         self._exit(npc, _plus4(npc), index + 1)
         self.indent = self.indent[:-4]
+
+    def _page_access(self, size: int, method: str, inline: str) -> None:
+        """Emit an access of *size* bytes at ``a``: *inline* on the page
+        ``pg`` at offset ``o`` when the access is aligned and its page is
+        allocated, else the :class:`Memory` *method* call, which raises the
+        misaligned trap, reads an absent page as zeros and allocates it on a
+        store."""
+        self.uses.add("pages")
+        misaligned = f" or a & {size - 1}" if size > 1 else ""
+        self.emit(f"pg = pages.get(a >> {PAGE_SHIFT})")
+        self.emit(f"if pg is None{misaligned}: {method}")
+        self.emit(f"else: o = a & {PAGE_MASK}; {inline}")
 
     # -- assembly ----------------------------------------------------------
 
@@ -797,33 +842,32 @@ class _BlockCompiler:
             prologue.append("ic = emu.icc; n = ic.n; z = ic.z; v = ic.v; c = ic.c")
         if "mem" in uses:
             prologue.append("mem = emu.memory")
+        if "pages" in uses:
+            prologue.append("pages = mem._pages")
         if "dcache" in uses:
             prologue.append("tm = emu.timing; tl = tm._touched_lines; "
                             "ls = tm.line_size")
         if "cp" in uses:
             prologue.append("cp = emu._code_pages")
-        closure = ", ".join(f"O{i}" for i in range(len(self.constants)))
-        head = [f"def _make({closure}):",
-                "    def _block(emu, tx):"]
-        head += ["        " + line for line in prologue]
+        head = ["def _block(emu, tx):"] + ["    " + line for line in prologue]
         if not self.raises:
             # Body lines are indented for the ``try`` suite; without one they
             # move out a level.
             body = [line[4:] for line in self.lines]
         else:
-            body = ["        try:"] + self.lines + [
-                "        except BaseException:",
-                "            emu.pc = k; emu.npc = kn",
-                "            raise",
+            body = ["    try:"] + self.lines + [
+                "    except BaseException:",
+                "        emu.pc = k; emu.npc = kn",
+                "        raise",
             ]
             if self.writes_icc:
-                body.insert(-2, "            emu.icc = CC(n, z, v, c)")
-        return "\n".join(head + body + ["    return _block", ""])
+                body.insert(-2, "        emu.icc = CC(n, z, v, c)")
+        return "\n".join(head + body + [""])
 
     def build(self) -> Callable:
         namespace: Dict[str, Callable] = {}
         exec(compile(self.source(), "<block>", "exec"), _BLOCK_GLOBALS, namespace)
-        return namespace["_make"](*self.constants)
+        return namespace["_block"]
 
 
 #: ``FastEmulator._blocks`` lookup default for a PC not translated yet

@@ -16,6 +16,35 @@ PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFFFFFF
 
 
+def page_read_source(size: int, offset: str = "o") -> str:
+    """Source of the big-endian value of the *size* (1, 2 or 4) bytes at
+    *offset* in the page ``pg``, with ``fb`` bound to ``int.from_bytes``.
+
+    The fast engines' block compilers inline aligned accesses to allocated
+    pages with these sources (``pg`` is ``Memory._pages[address >>
+    PAGE_SHIFT]``, the offset ``address & PAGE_MASK``) and leave the rest to
+    the :class:`Memory` methods.
+    """
+    if size == 4:
+        return f"fb(pg[{offset}:{offset} + 4], 'big')"
+    if size == 2:
+        return f"(pg[{offset}] << 8) | pg[{offset} + 1]"
+    return f"pg[{offset}]"
+
+
+def page_write_source(size: int, value: str, offset: str = "o") -> str:
+    """Source storing the *size*-byte *value* (a name, already masked)
+    big-endian at *offset* in the page ``pg``."""
+    if size == 4:
+        return (f"pg[{offset}] = {value} >> 24; "
+                f"pg[{offset} + 1] = ({value} >> 16) & 255; "
+                f"pg[{offset} + 2] = ({value} >> 8) & 255; "
+                f"pg[{offset} + 3] = {value} & 255")
+    if size == 2:
+        return f"pg[{offset}] = {value} >> 8; pg[{offset} + 1] = {value} & 255"
+    return f"pg[{offset}] = {value}"
+
+
 class MemoryError_(RuntimeError):
     """Raised on misaligned or otherwise invalid memory accesses."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Set, Tuple
 
 from repro.isa.decoder import Instruction
 from repro.isa.instructions import (
@@ -236,15 +236,16 @@ class ExecutionTrace:
         return merged
 
 
-@dataclass(frozen=True)
-class OffCoreTransaction:
+class OffCoreTransaction(NamedTuple):
     """One transaction observed at the off-core boundary.
 
     The paper defines failures as mismatches at the off-core boundary (the
     comparison point of light-lockstep cores): memory writes, I/O accesses.
     Both the ISS and the structural Leon3 model produce sequences of these
     records so that golden and faulty runs can be compared transaction by
-    transaction.
+    transaction.  A record is a plain tuple, so two streams compare with
+    ``==`` in C; the compiled blocks of the fast engines build them with
+    ``tuple.__new__``, which skips the Python-level constructor.
     """
 
     kind: str  # "store" or "io"
@@ -253,9 +254,4 @@ class OffCoreTransaction:
     size: int
 
     def matches(self, other: "OffCoreTransaction") -> bool:
-        return (
-            self.kind == other.kind
-            and self.address == other.address
-            and self.value == other.value
-            and self.size == other.size
-        )
+        return self == other

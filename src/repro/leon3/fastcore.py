@@ -17,6 +17,8 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   observable under array faults through the open-line "previous value"
   rule).  The ALU and multiply/divide handlers are generated at import from
   the semantics table the ISS fast path shares (:mod:`repro.isa.semantics`).
+  Handlers serve the per-instruction loop; compiled blocks inline every row
+  of that table instead (below).
 
 * **Per-PC op cache** — each instruction word is decoded once per PC by
   the reference decode stage (the executable spec, so decode needs no second
@@ -69,12 +71,15 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   block runs up to a CTI plus its delay slot, at most :data:`_BLOCK_CAP`
   instructions, and ends before ``ticc``, an op without semantics, a word
   that does not decode, and an op built from a word other than the memory
-  image's.  Register operands are cell-list accesses at physical indices
-  resolved at translation; the instruction-cache probe is inlined once per
-  line with constant index and tag, and a hit checks that the line holds
-  the block's words (a stale line steps singly); latency is a constant per
-  instruction, while miss penalties, transaction stamps, hit/miss counters
-  and refills stay exact.  Each exit returns how many instructions
+  image's.  No instruction calls its handler: ALU, product and quotient rows
+  are inlined (a zero divisor raises from ``//`` before any write), and a
+  store writes the memory word into its page (an absent page takes
+  ``Memory.write_word``).  Register operands are cell-list accesses at
+  physical indices resolved at translation; the instruction-cache probe is
+  inlined once per line with constant index and tag, and a hit checks that
+  the line holds the block's words (a stale line steps singly); latency is a
+  constant per instruction, while miss penalties, transaction stamps,
+  hit/miss counters and refills stay exact.  Each exit returns how many instructions
   completed, and the run adds that prefix's mnemonic histogram once per
   distinct exit.
 
@@ -127,7 +132,14 @@ from repro.isa.decoder import DecodeError, decode_cached
 from repro.isa.encoding import to_u32
 from repro.isa.instructions import INSTRUCTION_SET, InstructionCategory
 from repro.isa.registers import NUM_GLOBALS, WINDOW_REGS, RegisterWindowError
-from repro.iss.memory import PAGE_SHIFT, Memory, MemoryError_
+from repro.iss.memory import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    Memory,
+    MemoryError_,
+    page_read_source,
+    page_write_source,
+)
 from repro.iss.trace import ExecutionTrace, OffCoreTransaction
 from repro.leon3.core import (
     DEFAULT_STACK_TOP,
@@ -506,9 +518,7 @@ _ALU_HANDLERS: Dict[str, Callable] = semantics.compile_handlers(
     semantics.arithmetic_rows(carry="core.icc.c", y_register="core.y"),
     {"__name__": __name__, "CC": ConditionCodes},
 )
-_h_addx, _h_subx, _h_udiv, _h_sdiv = (
-    _ALU_HANDLERS[base] for base in ("addx", "subx", "udiv", "sdiv")
-)
+_h_addx, _h_subx = _ALU_HANDLERS["addx"], _ALU_HANDLERS["subx"]
 
 
 # -- memory -----------------------------------------------------------------
@@ -676,42 +686,47 @@ _BLOCK_CAP = 32
 
 _CTI_HANDLERS = frozenset({_h_branch, _h_call, _h_jmpl})
 
-#: Inlined ALU results, ``cc`` V/C updates and 64-bit products
-#: (:mod:`repro.isa.semantics`), keyed by handler.
+#: Inlined ALU results and ``cc`` V/C updates (:mod:`repro.isa.semantics`),
+#: keyed by handler.
 _ALU_RESULTS = {
     _ALU_HANDLERS[base]: result for base, result in semantics.ALU_RESULTS.items()
 }
 _ICC_UPDATES = {
     _ALU_HANDLERS[base]: update for base, update in semantics.ICC_UPDATES.items()
 }
-_PRODUCTS = {
-    _ALU_HANDLERS[base]: product for base, product in semantics.PRODUCTS.items()
-}
 
-#: Handlers the block body calls instead of inlining (they may raise).
-_CALLED_HANDLERS = frozenset({_h_udiv, _h_sdiv})
+#: Inlined product and quotient rows (``compute`` and ``icc`` statements over
+#: the locals a/b, the block's carry ``c`` and Y), keyed by handler.
+_WIDE_ROWS = {
+    _ALU_HANDLERS[base]: row
+    for base, row in semantics.arithmetic_rows(carry="c", y_register="core.y").items()
+    if base in semantics.PRODUCTS or base in semantics.QUOTIENTS
+}
 
 _MEMORY_HANDLERS = frozenset({_h_load, _h_store, _h_ldd, _h_std})
 
-#: Handlers whose instruction may trap.
+#: Handlers whose instruction may trap (a quotient on a zero divisor).
 _RAISING_HANDLERS = (
-    _MEMORY_HANDLERS | _CALLED_HANDLERS | {_h_jmpl, _h_save, _h_restore}
+    _MEMORY_HANDLERS | {_h_jmpl, _h_save, _h_restore}
+    | {_ALU_HANDLERS[base] for base in semantics.QUOTIENTS}
 )
 
 #: Every handler a block may contain.  Anything else — ``ticc``, an ALU op
 #: without semantics — ends the block before it.
 _BLOCK_HANDLERS = (
-    _CTI_HANDLERS | _CALLED_HANDLERS | _MEMORY_HANDLERS | set(_ALU_RESULTS)
-    | set(_PRODUCTS) | {_h_sethi, _h_save, _h_restore, _h_rd, _h_wr}
+    _CTI_HANDLERS | _MEMORY_HANDLERS | set(_ALU_RESULTS) | set(_WIDE_ROWS)
+    | {_h_sethi, _h_save, _h_restore, _h_rd, _h_wr}
 )
 
-#: The one globals dict every compiled block shares.
+#: The one globals dict every compiled block shares.  ``new(OCT, fields)``
+#: builds a transaction without the Python-level tuple constructor.
 _BLOCK_GLOBALS: Dict[str, object] = {
     "CC": ConditionCodes,
     "OCT": OffCoreTransaction,
+    "new": tuple.__new__,
+    "fb": int.from_bytes,
     "IuTrap": IuTrap,
     "RegisterWindowError": RegisterWindowError,
-    **{handler.__name__: handler for handler in _CALLED_HANDLERS},
 }
 
 #: Exceptions an instruction raises to trap the run, and the trap kind each
@@ -756,7 +771,7 @@ class _RtlBlock:
     static footprint in the storage arrays and a bound on the cycles it spans.
 
     ``footprint`` holds, indexed as :data:`_FOOTPRINT`, the register cells
-    the block's instructions read (handlers it calls included), the
+    the block's instructions read, the
     instruction-cache lines its fetches look up, the instruction-cache data
     cells they read, and every data-cache cell when it accesses the data
     cache at all (its addresses are not static): a fault or watch on another
@@ -863,7 +878,8 @@ class _RtlBlockCompiler:
         self.dcache = core.dcache
         self.lines: List[str] = []
         self.indent = "            "
-        self.constants: List[object] = []
+        #: The word lists of long line checks, closure constants W0, W1, ...
+        self.constants: List[List[int]] = []
         self.writes_icc = any(op.sets_icc for op in ops)
         self.touches_icc = self.writes_icc
         self.raises = False
@@ -1057,18 +1073,6 @@ class _RtlBlockCompiler:
             self.lat += op.latency
             self.write(op.rd, f"{op.value}")
             return
-        if handler in _CALLED_HANDLERS:
-            self.reads.update(
-                _physical(reg, self.cwp, self.nwindows)
-                for reg in (op.rs1,) + (() if op.use_imm else (op.rs2,)) if reg
-            )
-            name = f"O{len(self.constants)}"
-            self.constants.append(op)
-            emit(f"{handler.__name__}(core, {name})")
-            if op.sets_icc:
-                emit("i_ = core.icc; n = i_.n; z = i_.z; v = i_.v; c = i_.c")
-            self.lat += op.latency
-            return
         first, second = self.operands(op)
         self.lat += op.latency
         if handler in _ALU_RESULTS:
@@ -1082,11 +1086,12 @@ class _RtlBlockCompiler:
             emit("n = y >> 31; z = 0 if y else 1; "
                  + _ICC_UPDATES.get(handler, "v = 0; c = 0"))
             self.write(op.rd, "y")
-        elif handler in _PRODUCTS:
-            emit(f"p = {_PRODUCTS[handler].format(a=first, b=second)}")
-            emit(f"y = p & {_MASK}; core.y = (p >> 32) & {_MASK}")
+        elif handler in _WIDE_ROWS:
+            # A zero divisor raises from ``//`` before any write.
+            row = _WIDE_ROWS[handler]
+            emit(f"a = {first}; b = {second}; {row['compute']}")
             if op.sets_icc:
-                emit("n = y >> 31; z = 0 if y else 1; v = 0; c = 0")
+                emit(f"n = y >> 31; z = 0 if y else 1; {row['icc']}")
             self.write(op.rd, "y")
         elif handler is _h_save or handler is _h_restore:
             emit(f"x = {self.address(first, second)}")
@@ -1126,10 +1131,14 @@ class _RtlBlockCompiler:
     def _dcache_write(self, address: str, value: str) -> None:
         """A word store through the write-through, no-allocate data cache
         (:meth:`_FastCache.write_word` minus the code-page check, which the
-        caller emits once the instruction completes)."""
+        caller emits once the instruction completes).  The memory write
+        indexes the page; an absent page is allocated by the method."""
         dcache = self.dcache
-        self.uses.add("mw")
-        self.emit(f"mw({address}, {value})")
+        self.uses.update(("mw", "pages"))
+        self.emit(f"pg = pages.get({address} >> {PAGE_SHIFT})")
+        self.emit(f"if pg is None: mw({address}, {value})")
+        self.emit(f"else: o = {address} & {PAGE_MASK}; "
+                  f"{page_write_source(4, value)}")
         self._dcache_probe(address)
         self.emit(f"if dv[i] and dt[i] == t: dc.hits += 1; "
                   f"dd[i * {dcache.words_per_line} + "
@@ -1153,7 +1162,7 @@ class _RtlBlockCompiler:
         self.uses.add("tx")
         if handler is _h_load:
             emit(f"if a >= {IO_BASE}:")
-            emit(f"    x = 0; tx.append(OCT('io', a, 0, {size})); "
+            emit(f"    x = 0; tx.append(new(OCT, ('io', a, 0, {size}))); "
                  f"tc.append(cy + {self.lat})")
             emit("else:")
             self.indent += "    "
@@ -1183,10 +1192,11 @@ class _RtlBlockCompiler:
         self.indent += "    "
         if handler is _h_std:
             emit(f"lo = {low}")
-            emit("tx.append(OCT('io', a, x, 4)); tx.append(OCT('io', a + 4, lo, 4))")
+            emit("tx.append(new(OCT, ('io', a, x, 4))); "
+                 "tx.append(new(OCT, ('io', a + 4, lo, 4)))")
             self.stamp(2)
         else:
-            emit(f"tx.append(OCT('io', a, x, {size}))")
+            emit(f"tx.append(new(OCT, ('io', a, x, {size})))")
             self.stamp()
         self.indent = self.indent[:-4]
         emit("else:")
@@ -1194,22 +1204,25 @@ class _RtlBlockCompiler:
         if handler is _h_std:
             emit(f"lo = {low}")
             self._dcache_write("a", "x")
-            emit("tx.append(OCT('store', a, x, 4))")
+            emit("tx.append(new(OCT, ('store', a, x, 4)))")
             emit("a4 = a + 4")
             self._dcache_write("a4", "lo")
-            emit("tx.append(OCT('store', a4, lo, 4))")
+            emit("tx.append(new(OCT, ('store', a4, lo, 4)))")
             self.stamp(2)
         else:
             if size == 4:
                 self._dcache_write("a", "x")
             else:
-                # Sub-word stores merge into the memory word, then store it.
-                self.uses.add("mr")
+                # Sub-word stores merge into the memory word (zero on an
+                # absent page), then store it.
+                self.uses.add("pages")
                 mask = 0xFFFF if size == 2 else 0xFF
                 emit(f"a4 = a & 0xFFFFFFFC; s = ({4 - size} - (a & 3)) << 3")
-                emit(f"y = (mr(a4) & ~({mask} << s)) | (x << s)")
+                emit(f"pg = pages.get(a4 >> {PAGE_SHIFT}); o = a4 & {PAGE_MASK}")
+                emit(f"y = 0 if pg is None else {page_read_source(4)}")
+                emit(f"y = (y & ~({mask} << s)) | (x << s)")
                 self._dcache_write("a4", "y")
-            emit(f"tx.append(OCT('store', a, x, {size}))")
+            emit(f"tx.append(new(OCT, ('store', a, x, {size})))")
             self.stamp()
         # A store into a code page drops that page's decodes and blocks —
         # possibly this one — so the block ends right after it.
@@ -1231,18 +1244,15 @@ class _RtlBlockCompiler:
             prologue.append("i_ = core.icc; n = i_.n; z = i_.z; v = i_.v; c = i_.c")
         if "dcache" in uses:
             prologue.append("dc = core.dcache; dv = dc.valid; dt = dc.tags; dd = dc.data")
-        if "mr" in uses:
-            prologue.append("mr = core.memory.read_word")
         if "mw" in uses:
             prologue.append("mw = core.memory.write_word")
+        if "pages" in uses:
+            prologue.append("pages = core.memory._pages")
         if "tx" in uses:
             prologue.append("tx = core.transactions")
         if "cp" in uses:
             prologue.append("cp = core._code_pages")
-        closure = ", ".join(
-            f"{'O' if isinstance(constant, _FastOp) else 'W'}{i}"
-            for i, constant in enumerate(self.constants)
-        )
+        closure = ", ".join(f"W{i}" for i in range(len(self.constants)))
         head = [f"def _make({closure}):",
                 "    def _block(core, rf, iv, it, idat, cy, tc):"]
         head += ["        " + line for line in prologue]

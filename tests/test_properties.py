@@ -400,3 +400,178 @@ class TestGeneratedHandlerProperties:
     def test_every_table_form_is_covered(self):
         assert len(TABLE_MNEMONICS) == 31
         assert {"xnorcc", "subxcc", "addxcc", "umulcc", "sdivcc"} <= set(TABLE_MNEMONICS)
+
+
+# -- compiled blocks against the reference engines ---------------------------
+
+#: Data registers of the block programs; ``ldd``/``std`` pairs start at the
+#: even ones.
+BLOCK_DATA_REGS = ("%g1", "%o2", "%l2", "%i4")
+BLOCK_PAIR_REGS = ("%o2", "%l2", "%i4")
+#: Base registers of the memory accesses: an allocated data page, a page
+#: nothing touches, the I/O region, and the program's own code page (just
+#: past the exit, so a negative offset hits the ``ta 0`` itself).
+BLOCK_BASES = {"%g4": "data", "%g5": "0x40100000", "%g6": "0x80000000",
+               "%g7": "pad"}
+BLOCK_BUDGET = 300
+#: The product and quotient rows, drawn as often as all other rows together.
+WIDE_MNEMONICS = [
+    mnemonic for mnemonic in TABLE_MNEMONICS
+    if INSTRUCTION_SET.by_mnemonic(mnemonic).alu_base
+    in {*semantics.PRODUCTS, *semantics.QUOTIENTS}
+]
+
+_block_reg = st.sampled_from(BLOCK_DATA_REGS + ("%g0",))
+_block_operand2 = _block_reg | st.integers(min_value=-16, max_value=16).map(str)
+
+
+def _address_text(base, offset):
+    return f"[{base} + {offset}]" if offset >= 0 else f"[{base} - {-offset}]"
+
+
+@st.composite
+def block_instructions(draw):
+    """One straight-line instruction: a semantics-table row (small immediates
+    give zero divisors and ``sdiv`` saturation), ``rd``/``wr %y``, or a load
+    or store of any size at a base register plus a small, possibly
+    misaligned, offset."""
+    kind = draw(st.sampled_from(("alu", "wide", "y", "memory", "memory")))
+    if kind in ("alu", "wide"):
+        mnemonic = draw(st.sampled_from(
+            TABLE_MNEMONICS if kind == "alu" else WIDE_MNEMONICS
+        ))
+        return (f"{mnemonic} {draw(_block_reg)}, {draw(_block_operand2)}, "
+                f"{draw(_block_reg)}")
+    if kind == "y":
+        if draw(st.booleans()):
+            return f"rd %y, {draw(_block_reg)}"
+        return f"wr {draw(_block_reg)}, {draw(_block_operand2)}, %y"
+    mnemonic = draw(st.sampled_from(
+        ("ld", "ldub", "lduh", "ldsb", "ldsh", "ldd", "st", "stb", "sth", "std")
+    ))
+    address = _address_text(draw(st.sampled_from(sorted(BLOCK_BASES))),
+                            draw(st.integers(min_value=-8, max_value=16)))
+    reg = draw(st.sampled_from(BLOCK_PAIR_REGS) if mnemonic in ("ldd", "std")
+               else _block_reg)
+    if mnemonic.startswith("ld"):
+        return f"{mnemonic} {address}, {reg}"
+    return f"{mnemonic} {reg}, {address}"
+
+
+@st.composite
+def block_programs(draw):
+    """The source of a program: random register values, Y and ``icc``, then
+    1–12 random straight-line instructions and ``ta 0``."""
+    lines = [f"set {value}, {reg}" for reg, value in BLOCK_BASES.items()]
+    lines += [f"set {draw(words32)}, {reg}" for reg in BLOCK_DATA_REGS]
+    lines += [f"set {draw(words32)}, %l7", "wr %l7, 0, %y",
+              "subcc %g1, %o2, %g0"]
+    lines += draw(st.lists(block_instructions(), min_size=1, max_size=12))
+    body = "\n".join(f"        {line}" for line in lines)
+    source = (f"        .text\nstart:\n{body}\n        ta 0\n"
+              "pad:    nop\n        nop\n        nop\n        nop\n"
+              "        .data\ndata:   .word 0x80010203, 0xFFFF8001, 7, 0\n")
+    return source
+
+
+class _BlockCounter:
+    """A block observer counting the instructions a fast ISS run executes in
+    blocks and one at a time."""
+
+    def __init__(self):
+        self.blocked = self.stepped = 0
+
+    def start(self):
+        pass
+
+    def plan(self, block):
+        return block
+
+    def after_block(self, plan, ran):
+        self.blocked += ran
+
+    def before_op(self, op):
+        self.stepped += 1
+
+    def after_op(self, op):
+        pass
+
+
+def _rewrites_code(source):
+    """Whether *source* stores into its own code page, after which the
+    rewritten words may run anywhere and step."""
+    return any(line.split()[0] in ("st", "stb", "sth", "std") and "%g7" in line
+               for line in source.splitlines() if line.strip())
+
+
+class TestBlockDifferential:
+    """Straight-line code run as compiled blocks of either fast engine gives
+    the registers, ``icc``, Y, memory, transactions and trap (kind, PC and
+    text) of its reference engine.  The generated handler tests above cover
+    one instruction at a time; these cover the inlined block bodies."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(source=block_programs())
+    def test_blocks_match_the_reference_engines(self, rtl_cores, source):
+        from repro.iss.emulator import Emulator
+        from repro.iss.fastpath import FastEmulator, assert_results_identical
+        from repro.leon3 import fastcore
+
+        program = assemble(source, name="block-diff")
+        reference = Emulator(memory=Memory())
+        reference.load_program(program)
+        expected = reference.run(max_instructions=BLOCK_BUDGET)
+        fast = FastEmulator(memory=Memory())
+        fast.load_program(program)
+        counter = _BlockCounter()
+        fast.observe(counter)
+        observed = fast.run(max_instructions=BLOCK_BUDGET)
+        assert_results_identical(reference, expected, fast, observed)
+        # Only the final ``ta 0`` steps, unless the code was rewritten.
+        assert counter.blocked + counter.stepped == observed.instructions
+        assert counter.stepped <= 1 or _rewrites_code(source)
+
+        reference_core = rtl_cores[0]
+        reference_core.load_program(program)
+        expected = reference_core.run(max_instructions=BLOCK_BUDGET)
+        fast_core = fastcore.Leon3FastCore()
+        fast_core.load_program(program)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastcore, "_COMPILE_AFTER", 1)
+            observed = fast_core.run(max_instructions=BLOCK_BUDGET)
+        fastcore.assert_rtl_results_identical(
+            reference_core, expected, fast_core, observed
+        )
+        assert (observed.instructions - fast_core.block_instructions <= 1
+                or _rewrites_code(source))
+
+
+@pytest.mark.parametrize("engine", ["iss", "rtl"])
+def test_compiled_blocks_call_no_handler(engine):
+    """No compiled block of either fast engine calls an ``_h_*`` handler:
+    every registry workload is translated, and the global and attribute
+    names each block's code uses are checked."""
+    from repro.iss import fastpath
+    from repro.iss.fastpath import run_fast_program
+    from repro.leon3 import fastcore
+    from repro.workloads import all_workloads
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastcore, "_COMPILE_AFTER", 1)
+        for workload in all_workloads().values():
+            program = workload.build()
+            if engine == "iss":
+                run_fast_program(program)
+            else:
+                core = fastcore.Leon3FastCore()
+                core.load_program(program)
+                core.run()
+    module = fastpath if engine == "iss" else fastcore
+    blocks = list(module._BLOCK_MEMO.values())
+    assert blocks
+    for block in blocks:
+        names = block.run.__code__.co_names
+        assert not [name for name in names if name.startswith("_h_")
+                    or name == "handler"], names
+    assert not [name for name in module._BLOCK_GLOBALS if name.startswith("_h_")]
