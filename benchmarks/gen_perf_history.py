@@ -2,9 +2,9 @@
 """Render the throughput trajectory to ``docs/perf_history.md``.
 
 The ``BENCH_*.json`` baselines are append-only histories: every recording
-run of a ``bench_*_throughput.py`` script appends a dated record instead of
-overwriting (see :mod:`bench_utils`).  This generator reads every history
-next to the repo root and emits one markdown table per benchmark layer —
+run of a ``throughput.py`` leg appends a dated record instead of
+overwriting (see :mod:`throughput`).  This generator reads every leg's
+history next to the repo root and emits one markdown table per leg —
 the per-PR throughput trajectory that used to be recoverable only from git
 archaeology:
 
@@ -33,37 +33,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_utils import load_history  # noqa: E402
+from throughput import LEGS, REPO_ROOT, load_history  # noqa: E402
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "docs" / "perf_history.md"
-
-#: Rendering spec per benchmark layer: history file, the two legs compared,
-#: and how to pull each leg's rate out of a record.  Listed bottom-up, the
-#: same order docs/performance.md walks the stack.
-LAYERS = (
-    ("ISS interpreter", "BENCH_iss_throughput.json",
-     "instructions/s", "reference", "fast path",
-     lambda r: r["aggregate"]["reference_instructions_per_second"],
-     lambda r: r["aggregate"]["fast_instructions_per_second"]),
-    ("RTL injection", "BENCH_rtl_throughput.json",
-     "injections/s", "reference core", "fast engine",
-     lambda r: r["aggregate"]["reference_injections_per_second"],
-     lambda r: r["aggregate"]["fast_injections_per_second"]),
-    ("Transient runtime", "BENCH_transient_throughput.json",
-     "injections/s", "from reset", "checkpointed",
-     lambda r: r["aggregate"]["from_reset_injections_per_second"],
-     lambda r: r["aggregate"]["checkpointed_injections_per_second"]),
-    ("Lockstep packs", "BENCH_lockstep_throughput.json",
-     "injections/s", "scalar checkpointed", "lockstep",
-     lambda r: r["aggregate"]["scalar_injections_per_second"],
-     lambda r: r["aggregate"]["lockstep_injections_per_second"]),
-    ("Campaign engine", "BENCH_campaign_throughput.json",
-     "injections/s", "serial", "parallel",
-     lambda r: r["serial"]["injections_per_second"],
-     lambda r: (r.get("parallel") or {}).get("injections_per_second")),
-)
-
 
 def _ratio(numerator, denominator) -> str:
     return "—" if not denominator else f"{numerator / denominator:.1%}"
@@ -82,55 +54,52 @@ def _dynamics_sections() -> list:
     paper's correlation argument — a rising demotion rate erodes the pack
     speedup long before the throughput gate trips.
     """
-    lines = ["## Campaign dynamics", ""]
-    lockstep = REPO_ROOT / "BENCH_lockstep_throughput.json"
-    if lockstep.exists():
-        lines += [
-            "Lockstep replica resolution per recorded run (fractions of all",
-            "injections; *spliced* is the share of demotions that had to",
-            "replay from the divergence point rather than ride to the end):",
-            "",
-            "| recorded at (UTC) | injections | demoted | spliced "
-            "| converged in pack | rode golden |",
-            "|---|---|---|---|---|---|",
-        ]
-        for record in load_history(lockstep)["history"]:
-            rows = record.get("per_workload", [])
-            injections = _sum(rows, "injections")
-            demotions = _sum(rows, "demotions")
-            lines.append(
-                "| {when} | {inj} | {demoted} | {spliced} | {conv} | {rider} |"
-                .format(
-                    when=record.get("recorded_at", "—"),
-                    inj=_cell(injections),
-                    demoted=_ratio(demotions, injections),
-                    spliced=_ratio(_sum(rows, "demoted_splices"), demotions),
-                    conv=_ratio(_sum(rows, "in_pack_convergences"), injections),
-                    rider=_ratio(_sum(rows, "golden_riders"), injections),
-                )
+    lockstep, transient = LEGS["lockstep"], LEGS["transient"]
+    lines = [
+        "## Campaign dynamics",
+        "",
+        "Lockstep replica resolution per recorded run (fractions of all",
+        "injections; *spliced* is the share of demotions that had to",
+        "replay from the divergence point rather than ride to the end):",
+        "",
+        "| recorded at (UTC) | injections | demoted | spliced "
+        "| converged in pack | rode golden |",
+        "|---|---|---|---|---|---|",
+    ]
+    for record in load_history(REPO_ROOT / lockstep.history):
+        rows = record[lockstep.rows_key]
+        injections = _sum(rows, "injections")
+        demotions = _sum(rows, "demotions")
+        lines.append(
+            "| {when} | {inj} | {demoted} | {spliced} | {conv} | {rider} |"
+            .format(
+                when=record["recorded_at"],
+                inj=_cell(injections),
+                demoted=_ratio(demotions, injections),
+                spliced=_ratio(_sum(rows, "demoted_splices"), demotions),
+                conv=_ratio(_sum(rows, "in_pack_convergences"), injections),
+                rider=_ratio(_sum(rows, "golden_riders"), injections),
             )
-        lines.append("")
-    transient = REPO_ROOT / "BENCH_transient_throughput.json"
-    if transient.exists():
-        lines += [
-            "Checkpointed-runtime early exits per recorded run (the share of",
-            "forks that converged back onto the golden ladder and spliced its",
-            "tail instead of simulating to the horizon):",
-            "",
-            "| recorded at (UTC) | injections | early-exit splice rate |",
-            "|---|---|---|",
-        ]
-        for record in load_history(transient)["history"]:
-            rows = record.get("per_run", [])
-            lines.append(
-                "| {when} | {inj} | {rate} |".format(
-                    when=record.get("recorded_at", "—"),
-                    inj=_cell(_sum(rows, "injections")),
-                    rate=_ratio(_sum(rows, "early_exits"),
-                                _sum(rows, "injections")),
-                )
+        )
+    lines += [
+        "",
+        "Checkpointed-runtime early exits per recorded run (the share of",
+        "forks that converged back onto the golden ladder and spliced its",
+        "tail instead of simulating to the horizon):",
+        "",
+        "| recorded at (UTC) | injections | early-exit splice rate |",
+        "|---|---|---|",
+    ]
+    for record in load_history(REPO_ROOT / transient.history):
+        rows = record[transient.rows_key]
+        lines.append(
+            "| {when} | {inj} | {rate} |".format(
+                when=record["recorded_at"],
+                inj=_cell(_sum(rows, "injections")),
+                rate=_ratio(_sum(rows, "early_exits"), _sum(rows, "injections")),
             )
-        lines.append("")
+        )
+    lines.append("")
     return lines
 
 
@@ -177,17 +146,9 @@ def _manifest_section(path: Path) -> list:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return "—"
     if isinstance(value, float):
         return f"{value:,.2f}".rstrip("0").rstrip(".")
     return f"{value:,}"
-
-
-def _speedup(record) -> str:
-    aggregate = record.get("aggregate")
-    speedup = (aggregate or record).get("speedup")
-    return "—" if speedup is None else f"{speedup:.2f}x"
 
 
 #: Heading of the run-manifest section (see :func:`_manifest_section`).
@@ -228,28 +189,24 @@ def render(manifest_path: Path = None, previous: str = "") -> str:
         "count and Python version) and are context only.",
         "",
     ]
-    for (title, filename, unit, slow_label, fast_label,
-         slow_rate, fast_rate) in LAYERS:
-        path = REPO_ROOT / filename
-        lines.append(f"## {title} (`{filename}`)")
+    for leg in LEGS.values():
+        slow, fast = leg.sides
+        slow_label, fast_label = leg.labels
+        lines.append(f"## {leg.title} (`{leg.history}`)")
         lines.append("")
-        if not path.exists():
-            lines.append("*No baseline recorded yet.*")
-            lines.append("")
-            continue
-        history = load_history(path)["history"]
-        lines.append(f"| recorded at (UTC) | {slow_label} ({unit}) "
-                     f"| {fast_label} ({unit}) | speedup | cpus | python |")
+        lines.append(f"| recorded at (UTC) | {slow_label} ({leg.unit}/s) "
+                     f"| {fast_label} ({leg.unit}/s) | speedup | cpus | python |")
         lines.append("|---|---|---|---|---|---|")
-        for record in history:
+        for record in load_history(REPO_ROOT / leg.history):
+            aggregate = record["aggregate"]
             lines.append(
-                "| {when} | {slow} | {fast} | {speedup} | {cpus} | {py} |".format(
-                    when=record.get("recorded_at", "—"),
-                    slow=_cell(slow_rate(record)),
-                    fast=_cell(fast_rate(record)),
-                    speedup=_speedup(record),
-                    cpus=_cell(record.get("cpu_count")),
-                    py=record.get("python", "—"),
+                "| {when} | {slow} | {fast} | {speedup:.2f}x | {cpus} | {py} |".format(
+                    when=record["recorded_at"],
+                    slow=_cell(aggregate[leg.rate_key(slow)]),
+                    fast=_cell(aggregate[leg.rate_key(fast)]),
+                    speedup=aggregate["speedup"],
+                    cpus=_cell(record["cpu_count"]),
+                    py=record["python"],
                 )
             )
         lines.append("")

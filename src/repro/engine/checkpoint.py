@@ -8,7 +8,7 @@ most runs re-converge to the golden trajectory long before completion.  This
 module removes exactly that redundancy while staying **bit-identical to the
 from-reset execution of the same fault** (the same contract the fast
 interpreters honour, enforced by ``tests/test_checkpoint.py`` and re-verified
-by ``benchmarks/bench_transient_throughput.py`` before any number is
+by ``benchmarks/throughput.py transient`` before any number is
 reported):
 
 * **Golden snapshot ladder** — the golden run executes once, in
@@ -186,7 +186,7 @@ def assert_run_results_identical(expected: RunResult, observed: RunResult) -> No
 
     The single definition of the checkpoint bit-identity comparison set —
     ``tests/test_checkpoint.py`` and
-    ``benchmarks/bench_transient_throughput.py`` both call it, so the
+    ``benchmarks/throughput.py transient`` both call it, so the
     contract cannot drift.  Raises :class:`AssertionError` naming the first
     divergent observable.
     """

@@ -8,7 +8,7 @@ instruction stream one at a time.  This module removes exactly that
 redundancy while staying **bit-identical to the from-reset execution of each
 fault** (the same contract the fast interpreters and the checkpoint runtime
 honour, enforced by ``tests/test_lockstep.py`` and re-verified by
-``benchmarks/bench_lockstep_throughput.py`` before any number is reported):
+``benchmarks/throughput.py lockstep`` before any number is reported):
 
 * **Pack leader** — a pack of N faulty replicas executes through a single
   shared fetch/decode front end: one fault-free :class:`FastEmulator` (the

@@ -97,7 +97,7 @@ exactly that overhead while staying **result-transparent**:
   emulator per run, and the compile cost is paid once per process.
 
 The contract — enforced by ``tests/test_fastpath.py`` and re-verified by
-``benchmarks/bench_iss_throughput.py`` before it reports any number — is
+``benchmarks/throughput.py iss`` before it reports any number — is
 **bit-identity with the reference interpreter**: same trace statistics, same
 off-core transaction stream, same trap kind / exit code / instruction and
 cycle counts, same final architectural state (registers, icc, Y, PC, memory),

@@ -112,7 +112,7 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
   Invariants in ``docs/determinism.md``.
 
 The contract — enforced by ``tests/test_fastcore.py`` and re-verified by
-``benchmarks/bench_rtl_throughput.py`` before it reports any number — is
+``benchmarks/throughput.py rtl`` before it reports any number — is
 **bit-identity with the reference core on every observable**: off-core
 transaction stream and cycle stamps, trace statistics, instruction and cycle
 counts, halt/exit/trap status, cache miss counters, and the final
@@ -336,7 +336,7 @@ class _FastOp:
     __slots__ = (
         "word", "mnemonic", "handler", "latency", "rd", "rs1", "rs2",
         "use_imm", "imm_u32", "sets_icc", "access_size", "sign_extend_load",
-        "cond", "annul", "annul_taken", "target", "value",
+        "writes_memory", "cond", "annul", "annul_taken", "target", "value",
         "trace_instr", "trace_defn", "trace_mnemonic", "from_memory", "key",
     )
 
@@ -358,6 +358,7 @@ class _FastOp:
         self.sets_icc = defn.sets_icc
         self.access_size = defn.access_size
         self.sign_extend_load = defn.sign_extend
+        self.writes_memory = defn.writes_memory
         self.cond = self.annul = self.target = self.value = None
         if defn.category is InstructionCategory.BRANCH:
             self.cond = cond
@@ -784,7 +785,7 @@ class _RtlBlock:
     """
 
     __slots__ = ("run", "length", "mnemonics", "_histograms", "footprint",
-                 "probes", "fetched", "max_cycles")
+                 "probes", "fetched", "max_cycles", "stores")
 
     def __init__(self, run: Callable, ops: List[_FastOp],
                  compiler: "_RtlBlockCompiler"):
@@ -810,6 +811,7 @@ class _RtlBlock:
             (2 if op.access_size == 8 else 1)
             for op in ops if op.handler in _MEMORY_HANDLERS
         )
+        self.stores = any(op.writes_memory for op in ops)
         self.max_cycles = (
             sum(op.latency for op in ops)
             + (len(self.probes) + accesses) * MISS_PENALTY
@@ -1562,6 +1564,16 @@ class Leon3FastCore:
         self._block_pages.clear()
         self._foreign.clear()
 
+    def _retraced(self, pc: int):
+        """The instruction the trace counts at *pc* after a store rewrote
+        its code page: like the reference core, the trace decodes the memory
+        image after the instruction ran, so a store over its own word counts
+        the word it wrote (``None`` when that does not decode)."""
+        try:
+            return decode_cached(self.memory.read_word(pc))
+        except DecodeError:
+            return None
+
     def _invalidate_code_page(self, page: int) -> None:
         """Drop the specialisations and blocks on *page* (a store changed
         it, or a reload/restore replaced it)."""
@@ -2141,17 +2153,30 @@ class Leon3FastCore:
                         cycles = self.cycle
                         misses_before = icache.misses + dcache.misses
                         stamped = len(transaction_cycles)
-                        key = (block, ran)
+                        # A store into a code page drops its cached ops and
+                        # ends the block: that store then counts the word at
+                        # its own pc as it stands after it ran.
+                        retraced = False
+                        if block.stores and error is None:
+                            last_pc = pc + 4 * (ran - 1)
+                            retraced = op_cache_get(last_pc) is None
+                        counted = ran - 1 if retraced else ran
+                        key = (block, counted)
                         seen = exits_get(key)
                         if seen is None:
                             exits[key] = 1
                             # Claim the mnemonics' first-execution order now;
                             # their counts fold in after the loop.
-                            for mnemonic, _ in block.histogram(ran):
+                            for mnemonic, _ in block.histogram(counted):
                                 if mnemonic not in counts:
                                     counts[mnemonic] = 0
                         else:
                             exits[key] = seen + 1
+                        if retraced:
+                            traced = self._retraced(last_pc)
+                            if traced is not None:
+                                mnemonic = traced.defn.mnemonic
+                                counts[mnemonic] = counts_get(mnemonic, 0) + 1
                     if error is not None:
                         cycles = self.cycle
                         trap_kind = _trap_kind(error)
@@ -2190,7 +2215,16 @@ class Leon3FastCore:
             if misses_now != misses_before:
                 cycles += (misses_now - misses_before) * MISS_PENALTY
                 misses_before = misses_now
-            if detailed:
+            if op.writes_memory and op_cache_get(pc) is None:
+                # A store rewrote this code page, maybe this very word.
+                traced = self._retraced(pc)
+                if detailed:
+                    if traced is not None:
+                        trace.record(traced, pc, cycles)
+                elif traced is not None:
+                    mnemonic = traced.defn.mnemonic
+                    counts[mnemonic] = counts_get(mnemonic, 0) + 1
+            elif detailed:
                 if op.trace_instr is not None:
                     trace.record(op.trace_instr, pc, cycles)
             else:
@@ -2321,7 +2355,7 @@ def assert_rtl_results_identical(
     """Assert two finished RTL runs match on every observable of the contract.
 
     The single definition of the comparison set — ``tests/test_fastcore.py``
-    and ``benchmarks/bench_rtl_throughput.py`` both call it, so the contract
+    and ``benchmarks/throughput.py rtl`` both call it, so the contract
     cannot drift.  Raises :class:`AssertionError` naming the first divergent
     observable.
     """

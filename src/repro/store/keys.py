@@ -54,7 +54,7 @@ if TYPE_CHECKING:
 #:   observable (trace statistics, transaction stream, trap kind, final
 #:   architectural state), fault-free and under injection — enforced by
 #:   ``tests/test_fastpath.py`` across the full workload registry and
-#:   re-verified by ``benchmarks/bench_iss_throughput.py`` before it reports
+#:   re-verified by ``benchmarks/throughput.py iss`` before it reports
 #:   any number.  The interpreter choice is an execution strategy, exactly
 #:   like ``n_workers``.
 #: * The I/O-load fix (transactions now record the loaded value instead of a
@@ -73,7 +73,7 @@ if TYPE_CHECKING:
 #: * The fast LEON3 cycle engine is bit-identical to the reference structural
 #:   core on every observable, fault-free and under injection — enforced by
 #:   ``tests/test_fastcore.py`` across the workload registry and re-verified
-#:   by ``benchmarks/bench_rtl_throughput.py`` before it reports any number.
+#:   by ``benchmarks/throughput.py rtl`` before it reports any number.
 #:   Like the ISS interpreter choice, the cycle-engine choice is an execution
 #:   strategy, not a result input.
 #: Also deliberately **not** bumped for the checkpointed transient runtime PR:
@@ -89,7 +89,7 @@ if TYPE_CHECKING:
 #:   fork-from-checkpoint, early-convergence exit) is bit-identical to the
 #:   from-reset execution of the same fault — enforced by
 #:   ``tests/test_checkpoint.py`` across the workload registry on both
-#:   backends and re-verified by ``benchmarks/bench_transient_throughput.py``
+#:   backends and re-verified by ``benchmarks/throughput.py transient``
 #:   before it reports any number.  Like the fast interpreters, it is an
 #:   execution strategy: ``checkpoint_interval`` and ``early_exit`` are
 #:   therefore excluded from the key.

@@ -293,6 +293,22 @@ out:
         # memory image itself).
         assert out_values == [1, 1]
 
+    @pytest.mark.parametrize("detailed_trace", [False, True])
+    @pytest.mark.parametrize("stored", ["%g1", "%g0"])
+    def test_store_over_its_own_word_traces_the_written_word(
+        self, detailed_trace, stored
+    ):
+        # The reference trace decodes the memory image after each
+        # instruction, so a store over its own word counts the word it wrote
+        # (``sethi`` for the nop, nothing for the undecodable zero word), not
+        # ``st``.
+        program = assemble(_SELF_STORE_SOURCE.format(stored=stored),
+                           name="selfstore")
+        _, fast = verify_rtl_bit_identity(program, detailed_trace=detailed_trace)
+        counts = fast.trace.opcode_counts
+        assert "st" not in counts
+        assert counts["sethi"] == counts["or"] + (stored == "%g1")
+
     def test_reload_restores_patched_memory(self):
         core = Leon3FastCore()
         program = assemble(SMALL_PROGRAM_SOURCE, name="small")
@@ -527,6 +543,17 @@ class TestNativeNetFaults:
         assert not core.uses_fallback
 
 
+#: A store that overwrites its own instruction word with ``{stored}``.
+_SELF_STORE_SOURCE = """
+        .text
+        set     0x01000000, %g1
+        set     self, %g7
+self:
+        st      {stored}, [%g7]
+        ta      0
+"""
+
+
 def _blocked_pair(program, faults=(), max_instructions=400_000, **core_kwargs):
     """Run *program* under *faults* on a fresh reference and a fresh fast
     core, assert bit-identity, and return the fast result and core (whose
@@ -709,6 +736,15 @@ class TestBlockPath:
         from repro.leon3 import fastcore
 
         monkeypatch.setattr(fastcore, "_COMPILE_AFTER", 1)
+
+    @pytest.mark.parametrize("stored", ["%g1", "%g0"])
+    def test_store_over_its_own_word_ends_the_block_traced(self, stored):
+        program = assemble(_SELF_STORE_SOURCE.format(stored=stored),
+                           name="selfstore")
+        fast, fast_core = _blocked_pair(program)
+        # The block runs through the store; only ``ta`` steps.
+        assert fast_core.block_instructions == fast.instructions - 1
+        assert "st" not in fast.trace.opcode_counts
 
     def test_new_blocks_compile_once_hot(self, monkeypatch):
         from repro.leon3 import fastcore
